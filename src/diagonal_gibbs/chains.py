@@ -62,8 +62,17 @@ def _chunk_ranges(trajectories: int):
         yield chunk_index, start, min(_CHUNK, trajectories - start)
 
 
-def _run_chunked(worker, trajectories: int, threads: int = 1):
-    """Run ``worker(chunk_index, width)`` over all chunks, in index order."""
+def _run_chunked(worker, steps: int, trajectories: int, threads: int = 1):
+    """Run ``worker(chunk_index, width)`` over all chunks, in index order.
+
+    Rejects counts no ensemble can run: ``trajectories < 1``,
+    ``threads < 1`` or ``steps < 0``.
+    """
+    for name, value, least in (
+        ("trajectories", trajectories, 1), ("threads", threads, 1), ("steps", steps, 0)
+    ):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
     jobs = list(_chunk_ranges(trajectories))
     if threads > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -424,7 +433,7 @@ def run_x_ensemble(
             prev_coins = coins
         return u, v, changes, first, u_count
 
-    parts = _run_chunked(worker, trajectories, threads)
+    parts = _run_chunked(worker, steps, trajectories, threads)
     return XEnsemble(
         u=np.concatenate([p[0] for p in parts]),
         v=np.concatenate([p[1] for p in parts]),
@@ -460,7 +469,7 @@ def run_y_ensemble(
             _hit_update(nu_tilde, y >= lo_band, t + 1)
         return y, nu_m, nu_tilde
 
-    parts = _run_chunked(worker, trajectories, threads)
+    parts = _run_chunked(worker, steps, trajectories, threads)
     return YEnsemble(
         terminal=np.concatenate([p[0] for p in parts]),
         nu_m=np.concatenate([p[1] for p in parts]),
@@ -489,7 +498,7 @@ def run_y_prime_ensemble(
             _hit_update(nu_hat, y >= lo_band, t + 1)
         return y, nu_hat
 
-    parts = _run_chunked(worker, trajectories, threads)
+    parts = _run_chunked(worker, steps, trajectories, threads)
     return YPrimeEnsemble(
         terminal=np.concatenate([p[0] for p in parts]),
         nu_m_hat=np.concatenate([p[1] for p in parts]),
@@ -513,8 +522,7 @@ def run_z_ensemble(
             signed = signed + sigma * rng.standard_normal(width)
         return signed
 
-    parts = _run_chunked(worker, trajectories, threads)
-    signed = np.concatenate(parts) if parts else np.full(0, z0)
+    signed = np.concatenate(_run_chunked(worker, steps, trajectories, threads))
     return ZEnsemble(terminal_abs=np.abs(signed), terminal_signed=signed, steps=steps)
 
 
@@ -534,7 +542,7 @@ def run_w_ensemble(
             _hit_update(nu, (w < 0.0) | (w > 1.0), t + 1)
         return w, nu
 
-    parts = _run_chunked(worker, trajectories, threads)
+    parts = _run_chunked(worker, steps, trajectories, threads)
     return WEnsemble(
         terminal=np.concatenate([p[0] for p in parts]),
         nu_c2=np.concatenate([p[1] for p in parts]),

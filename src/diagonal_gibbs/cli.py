@@ -126,6 +126,24 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _count_at_least(least: int):
+    """argparse type for an integer count no smaller than ``least``."""
+
+    # argparse reports a non-integer as "invalid integer value", by this name
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        return value
+
+    return integer
+
+
+_NONNEGATIVE = _count_at_least(0)
+_POSITIVE = _count_at_least(1)
+_AT_LEAST_2 = _count_at_least(2)
+
+
 def _parse_start_pair(text: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
@@ -165,18 +183,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--process", choices=sorted(_PROCESS_RUNNERS))
     p.add_argument("--a", type=_positive_float)
     p.add_argument("--delta", type=float)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--trajectories", type=int)
-    p.add_argument("--threads", type=int)
+    p.add_argument("--steps", type=_NONNEGATIVE)
+    p.add_argument("--seed", type=_NONNEGATIVE)
+    p.add_argument("--trajectories", type=_POSITIVE)
+    p.add_argument("--threads", type=_POSITIVE)
     p.add_argument("--start", help="scalar for y/yprime/z/w, 'u,v' for x/xstar")
 
     p = sub.add_parser("evolve", help="evolve a point mass under the exact grid operator")
     common(p)
     p.add_argument("--a", type=_positive_float)
     p.add_argument("--delta", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--steps", type=int)
+    p.add_argument("--n", type=_AT_LEAST_2)
+    p.add_argument("--steps", type=_NONNEGATIVE)
     p.add_argument("--start", help="'u,v' starting point")
     p.add_argument("--pgm", help="also export the evolved distribution as a PGM heatmap")
 
@@ -184,22 +202,22 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--a", type=_positive_float)
     p.add_argument("--delta", type=float)
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=_AT_LEAST_2)
     p.add_argument("--eps", type=float)
     p.add_argument("--start", help="'u,v' starting point")
-    p.add_argument("--max-steps", dest="max_steps", type=int)
+    p.add_argument("--max-steps", dest="max_steps", type=_NONNEGATIVE)
 
     p = sub.add_parser("verify", help="run the inequality and invariance suite; nonzero exit on violation")
     common(p)
     p.add_argument("--a", type=_positive_float)
     p.add_argument("--delta", type=float)
-    p.add_argument("--n", type=int, help="grid for the stationarity check")
-    p.add_argument("--n-pairs", dest="n_pairs", type=int, help="grid for d/dbar checks")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--trajectories", type=int, help="coupled trajectories for the ordering check")
-    p.add_argument("--steps", type=int, help="steps per coupled trajectory")
-    p.add_argument("--threads", type=int)
-    p.add_argument("--grid", type=int, help="points per axis in the dominance sweep")
+    p.add_argument("--n", type=_AT_LEAST_2, help="grid for the stationarity check")
+    p.add_argument("--n-pairs", dest="n_pairs", type=_AT_LEAST_2, help="grid for d/dbar checks")
+    p.add_argument("--seed", type=_NONNEGATIVE)
+    p.add_argument("--trajectories", type=_POSITIVE, help="coupled trajectories for the ordering check")
+    p.add_argument("--steps", type=_NONNEGATIVE, help="steps per coupled trajectory")
+    p.add_argument("--threads", type=_POSITIVE)
+    p.add_argument("--grid", type=_AT_LEAST_2, help="points per axis in the dominance sweep")
 
     p = sub.add_parser("constants", help="closed-form constants report")
     common(p)
@@ -211,8 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--a", type=_positive_float)
     p.add_argument("--delta", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--steps", type=int, help="evolve a point mass this many steps; omit for the target")
+    p.add_argument("--n", type=_AT_LEAST_2)
+    p.add_argument("--steps", type=_NONNEGATIVE, help="evolve a point mass this many steps; omit for the target")
     p.add_argument("--start", help="'u,v' starting point when --steps is given")
     p.add_argument("--out", help="output PGM filename (within --out-dir)")
 
@@ -220,9 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--a", type=_positive_float)
     p.add_argument("--delta", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--s", type=int)
-    p.add_argument("--t", type=int)
+    p.add_argument("--n", type=_AT_LEAST_2)
+    p.add_argument("--s", type=_NONNEGATIVE)
+    p.add_argument("--t", type=_NONNEGATIVE)
 
     return parser
 

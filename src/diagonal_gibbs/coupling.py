@@ -36,6 +36,7 @@ from .density import (
     ModelParams,
     _folded_cdf_core,
     _folded_quantile_core,
+    _trunc_cdf_core,
     _trunc_quantile_core,
 )
 from .chains import _chunk_rng, _run_chunked
@@ -180,7 +181,7 @@ def couple_z_yprime(
             z, y = z_next, y_next
         return z, y, violations
 
-    parts = _run_chunked(worker, trajectories, threads)
+    parts = _run_chunked(worker, steps, trajectories, threads)
     return CouplingReport(
         pair_name="Z_YPrime",
         trajectories=trajectories,
@@ -209,17 +210,11 @@ def verify_dominance_inequality(grid_v: int, grid_u: int, params: ModelParams) -
     centers = np.linspace(0.0, 3.0, grid_v)
     points = np.linspace(0.0, 3.0, grid_u)
     folded = _folded_cdf_core(centers[:, None], sigma, points[None, :])
-    truncated = _trunc_quantile_like_cdf(centers[:, None], sigma, points[None, :])
+    truncated = _trunc_cdf_core(centers[:, None], sigma, 0.0, np.inf, points[None, :])
     # For fixed u, the worst folded value over v_bar <= v is the running
     # minimum down the center axis.
     folded_running_min = np.minimum.accumulate(folded, axis=0)
     return float(np.min(folded_running_min - truncated))
-
-
-def _trunc_quantile_like_cdf(center, sigma, x):
-    from .density import _trunc_cdf_core
-
-    return _trunc_cdf_core(center, sigma, 0.0, np.inf, x)
 
 
 # ======================================================================
@@ -266,7 +261,7 @@ def couple_y_w(
             np.putmask(nu, np.isnan(nu) & exited, float(t + 1))
         return w, y, nu
 
-    parts = _run_chunked(worker, trajectories, threads)
+    parts = _run_chunked(worker, steps, trajectories, threads)
     nu_c2 = np.concatenate([p[2] for p in parts])
     return CouplingReport(
         pair_name="Y_W",
@@ -329,7 +324,7 @@ def couple_y_yprime(
             np.putmask(nu_tilde, np.isnan(nu_tilde) & (y >= lo_band), float(t + 1))
         return y, yp, nu_c1, nu_tilde
 
-    parts = _run_chunked(worker, trajectories, threads)
+    parts = _run_chunked(worker, steps, trajectories, threads)
     nu_c1 = np.concatenate([p[2] for p in parts])
     return CouplingReport(
         pair_name="Y_YPrime",

@@ -11,6 +11,22 @@ only by floating-point roundoff rather than by quadrature error.
 The random-scan step averages the two conditional updates computed from the
 same input ("update u" and "update v" each with probability 1/2); it never
 alternates sweeps.
+
+Why two length-n vectors carry the whole evolution: let J be the normalized
+joint and m its marginal (J is symmetric, so rows and columns share it).
+Updating u from any law p gives J_ij c_j / m_j, updating v gives
+J_ij r_i / m_i, where r and c are the row and column sums of p.  So one step
+gives
+
+    p'_ij = J_ij (x_i + y_j) / 2,    x = r / m,  y = c / m,
+
+which depends on p only through r and c.  The state is therefore the pair
+(r, c), with r' = (r + J y) / 2 and c' = (c + J x) / 2, and the TV distance
+of p' to the target is 1/2 sum_ij J_ij |(x_i + y_j) / 2 - 1|.  Evolution
+costs one n x n by n x 2 product plus that TV sum per step, and the n x n
+law is formed only when a caller asks for it.  Renormalizing divides (r, c)
+by their mass, sum(r + c) / 2, before the step, which is the same as
+dividing the law after it.
 """
 
 from __future__ import annotations
@@ -138,38 +154,44 @@ def _cell_masses(a: float, n: int) -> np.ndarray:
     return np.maximum(m, 0.0)
 
 
-def _joint_matrix(params: ModelParams, n: int) -> np.ndarray:
+def _normalized_joint(params: ModelParams, n: int) -> np.ndarray:
+    """The discrete joint J, normalized to sum 1.
+
+    The one source of J for the target, the 1-D kernel and the evolution.
+    J is symmetric, so its row and column marginals agree.
+    """
     if n < 2:
         raise GridError(f"grid needs at least 2 cells per axis, got {n}")
     m = _cell_masses(params.a, n)
     idx = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-    return m[idx]
+    joint = m[idx]
+    joint /= joint.sum()
+    return joint
 
 
 def build_discretized_target(params: ModelParams, n: int) -> GridDistribution:
     """Cell-integral discretization of the diagonal-band target, normalized."""
-    joint = _joint_matrix(params, n)
-    joint /= joint.sum()
-    return GridDistribution(n=n, weights=joint)
+    return GridDistribution(n=n, weights=_normalized_joint(params, n))
 
 
 def build_kernel_1d(params: ModelParams, n: int) -> GibbsKernel1D:
     """One-coordinate Gibbs kernel: row j = conditional of cell i given j."""
-    joint = _joint_matrix(params, n)
-    joint /= joint.sum()
+    joint = _normalized_joint(params, n)
     marginal = joint.sum(axis=0)
     matrix = (joint / marginal[np.newaxis, :]).T
     return GibbsKernel1D(n=n, matrix=matrix, marginal=marginal)
 
 
-def point_mass(u: float, v: float, n: int) -> GridDistribution:
-    """Point mass on the cell containing (u, v)."""
+def _start_cell(u: float, v: float, n: int) -> tuple[int, int]:
     if not (0.0 <= u <= 1.0 and 0.0 <= v <= 1.0):
         raise GridError(f"start ({u}, {v}) outside the unit square")
+    return min(int(u * n), n - 1), min(int(v * n), n - 1)
+
+
+def point_mass(u: float, v: float, n: int) -> GridDistribution:
+    """Point mass on the cell containing (u, v)."""
     weights = np.zeros((n, n), dtype=float)
-    i = min(int(u * n), n - 1)
-    j = min(int(v * n), n - 1)
-    weights[i, j] = 1.0
+    weights[_start_cell(u, v, n)] = 1.0
     return GridDistribution(n=n, weights=weights)
 
 
@@ -177,36 +199,36 @@ def point_mass(u: float, v: float, n: int) -> GridDistribution:
 # evolution
 # ======================================================================
 
-class _Operator:
-    """Preallocated random-scan step: p -> (C*colsum + R*rowsum)/2."""
+# The TV sum runs over blocks of this many rows, so it never forms an
+# n x n temporary.
+_TV_ROWS = 64
 
-    def __init__(self, params: ModelParams, n: int):
-        joint = _joint_matrix(params, n)
-        joint /= joint.sum()
-        col_marg = joint.sum(axis=0)
-        row_marg = joint.sum(axis=1)
-        self.cond_u_given_v = joint / col_marg[np.newaxis, :]
-        self.cond_v_given_u = joint / row_marg[:, np.newaxis]
-        self.target = joint
-        self.n = n
-        self._buf_u = np.empty_like(joint)
-        self._buf_v = np.empty_like(joint)
 
-    def step(self, p: np.ndarray, renormalize: bool = True) -> np.ndarray:
-        col_sum = p.sum(axis=0)
-        row_sum = p.sum(axis=1)
-        np.multiply(self.cond_u_given_v, col_sum[np.newaxis, :], out=self._buf_u)
-        np.multiply(self.cond_v_given_u, row_sum[:, np.newaxis], out=self._buf_v)
-        np.add(self._buf_u, self._buf_v, out=p)
-        p *= 0.5
-        if renormalize:
-            p /= p.sum()
-        return p
+def _step(
+    joint: np.ndarray, marginal: np.ndarray, rc: np.ndarray, renormalize: bool
+) -> np.ndarray:
+    """Advance the marginals ``rc = [r c]`` one step, in place.
 
-    def tv_to_target(self, p: np.ndarray, scratch: np.ndarray) -> float:
-        np.subtract(p, self.target, out=scratch)
-        np.abs(scratch, out=scratch)
-        return 0.5 * float(scratch.sum())
+    Returns the ratios ``[x y]`` the step was taken from; the law after the
+    step is ``J_ij (x_i + y_j) / 2``.
+    """
+    if renormalize:
+        rc /= 0.5 * rc.sum()
+    xy = rc / marginal[:, np.newaxis]
+    rc += (joint @ xy)[:, ::-1]
+    rc *= 0.5
+    return xy
+
+
+def _tv_to_target(joint: np.ndarray, xy: np.ndarray) -> float:
+    """TV between ``J_ij (x_i + y_j) / 2`` and J, summed in row blocks."""
+    x = 0.5 * xy[:, 0] - 1.0
+    y = 0.5 * xy[:, 1]
+    total = 0.0
+    for lo in range(0, len(x), _TV_ROWS):
+        gap = np.abs(np.add.outer(x[lo : lo + _TV_ROWS], y))
+        total += float(np.vdot(joint[lo : lo + _TV_ROWS], gap))
+    return 0.5 * total
 
 
 def evolve_2d(
@@ -220,11 +242,14 @@ def evolve_2d(
         raise GridError("evolve_2d needs a 2-D grid distribution")
     if steps < 0:
         raise GridError("steps must be >= 0")
-    op = _Operator(params, dist.n)
-    p = dist.weights.copy()
+    joint = _normalized_joint(params, dist.n)
+    if steps == 0:
+        return GridDistribution(n=dist.n, weights=dist.weights.copy())
+    marginal = joint.sum(axis=0)
+    rc = np.stack([dist.weights.sum(axis=1), dist.weights.sum(axis=0)], axis=1)
     for _ in range(steps):
-        op.step(p, renormalize=renormalize)
-    return GridDistribution(n=dist.n, weights=p)
+        xy = _step(joint, marginal, rc, renormalize)
+    return GridDistribution(n=dist.n, weights=joint * (0.5 * (xy[:, :1] + xy[:, 1])))
 
 
 def tv_distance(p: GridDistribution, q: GridDistribution) -> float:
@@ -251,16 +276,18 @@ def find_mixing_time(
     """
     if not (0.0 < epsilon < 1.0):
         raise GridError(f"epsilon must lie in (0, 1), got {epsilon}")
-    op = _Operator(params, n)
-    p = point_mass(start[0], start[1], n).weights
-    scratch = np.empty_like(p)
+    joint = _normalized_joint(params, n)
+    marginal = joint.sum(axis=0)
+    i, j = _start_cell(start[0], start[1], n)
+    rc = np.zeros((n, 2))
+    rc[i, 0] = rc[j, 1] = 1.0
     curve = np.empty(max_steps + 1, dtype=float)
-    curve[0] = op.tv_to_target(p, scratch)
+    # TV(delta_ij, J) = (1 - J_ij) off the cell plus (1 - J_ij) on it, halved
+    curve[0] = 1.0 - joint[i, j]
     if curve[0] <= epsilon:
         return MixingResult(params.a, n, epsilon, tuple(start), 0, curve[:1].copy())
     for t in range(1, max_steps + 1):
-        op.step(p)
-        tv = op.tv_to_target(p, scratch)
+        tv = _tv_to_target(joint, _step(joint, marginal, rc, True))
         curve[t] = tv
         if tv <= epsilon:
             return MixingResult(params.a, n, epsilon, tuple(start), t, curve[: t + 1].copy())

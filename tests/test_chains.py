@@ -16,6 +16,9 @@ from scipy import stats
 from diagonal_gibbs import (
     ModelParams,
     count_direction_changes,
+    couple_y_w,
+    couple_y_yprime,
+    couple_z_yprime,
     run_w,
     run_w_ensemble,
     run_x,
@@ -333,6 +336,37 @@ def test_ensemble_deterministic_and_thread_independent():
         np.asarray(base.nu_m, dtype=float), np.asarray(threaded.nu_m, dtype=float),
         equal_nan=True,
     )
+
+
+# every chunked runner, with a start it accepts
+_ENSEMBLE_RUNNERS = {
+    "run_x_ensemble": (run_x_ensemble, (0.5, 0.5)),
+    "run_y_ensemble": (run_y_ensemble, 0.2),
+    "run_y_prime_ensemble": (run_y_prime_ensemble, 0.2),
+    "run_z_ensemble": (run_z_ensemble, 0.2),
+    "run_w_ensemble": (run_w_ensemble, 0.5),
+    "couple_z_yprime": (couple_z_yprime, 0.2),
+    "couple_y_yprime": (couple_y_yprime, 0.2),
+    "couple_y_w": (couple_y_w, 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ENSEMBLE_RUNNERS))
+def test_ensemble_runners_reject_bad_counts(name):
+    runner, start = _ENSEMBLE_RUNNERS[name]
+    params = ModelParams(10.0)
+    bad = [
+        ("trajectories", dict(steps=5, trajectories=0, threads=1)),
+        ("trajectories", dict(steps=5, trajectories=-2, threads=1)),
+        ("threads", dict(steps=5, trajectories=4, threads=0)),
+        ("steps", dict(steps=-3, trajectories=4, threads=1)),
+    ]
+    for argument, counts in bad:
+        with pytest.raises(ValueError, match=argument):
+            runner(start, counts["steps"], params, seed=0,
+                   trajectories=counts["trajectories"], threads=counts["threads"])
+    # the smallest valid counts still run
+    runner(start, 0, params, seed=0, trajectories=1, threads=1)
 
 
 def test_x_ensemble_matches_marginal_sanity():

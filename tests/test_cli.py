@@ -268,6 +268,27 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+    # counts below their least meaningful value, or not integers at all
+    for argv in (
+        ["sim", "--steps", "-5"],
+        ["sim", "--seed", "-1"],
+        ["sim", "--trajectories", "3", "--steps", "-2"],
+        ["sim", "--trajectories", "0"],
+        ["sim", "--threads", "0"],
+        ["sim", "--steps", "ten"],
+        ["mix", "--n", "1"],
+        ["mix", "--max-steps", "-1"],
+        ["evolve", "--steps", "-1"],
+        ["verify", "--grid", "1"],
+        ["verify", "--n-pairs", "1"],
+        ["heatmap", "--n", "0"],
+        ["dbar", "--s", "-1"],
+        ["dbar", "--t", "-1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out-dir", str(tmp_path / "bad")])
+        assert exc.value.code == 2, argv
+    assert not (tmp_path / "bad").exists()
     capsys.readouterr()
 
 

@@ -167,6 +167,48 @@ def test_evolution_keeps_normalization():
     assert np.all(out.weights >= 0.0)
 
 
+def _dense_step(p, joint, renormalize=True):
+    """Reference n x n random-scan step: (C_u|v * colsum + C_v|u * rowsum) / 2."""
+    cond_u_given_v = joint / joint.sum(axis=0)[np.newaxis, :]
+    cond_v_given_u = joint / joint.sum(axis=1)[:, np.newaxis]
+    q = 0.5 * (cond_u_given_v * p.sum(axis=0) + cond_v_given_u * p.sum(axis=1)[:, np.newaxis])
+    return q / q.sum() if renormalize else q
+
+
+@pytest.mark.parametrize("renormalize", [True, False])
+@pytest.mark.parametrize("start", ["random", "point"])
+def test_evolution_matches_dense_oracle(start, renormalize):
+    # the two-marginal evolution reproduces the dense step it replaced
+    params = ModelParams(10.0)
+    n = 100
+    joint = build_discretized_target(params, n).weights
+    if start == "point":
+        dist = point_mass(0.3, 0.8, n)
+    else:
+        raw = np.random.default_rng(5).random((n, n)) ** 3  # not a product law
+        dist = GridDistribution(n, raw / raw.sum())
+    p = dist.weights
+    for t in range(1, 18):
+        p = _dense_step(p, joint, renormalize)
+        if t in (1, 2, 17):
+            got = evolve_2d(dist, t, params, renormalize=renormalize).weights
+            assert 0.5 * np.abs(got - p).sum() <= 1e-12
+
+
+def test_mixing_curve_matches_dense_oracle():
+    params = ModelParams(10.0)
+    n = 80
+    result = find_mixing_time((0.0, 0.1), 0.25, params, n, 2000)
+    target = build_discretized_target(params, n)
+    p = point_mass(0.0, 0.1, n).weights
+    curve = [tv_distance(GridDistribution(n, p), target)]
+    for _ in range(result.t_mix):
+        p = _dense_step(p, target.weights)
+        curve.append(tv_distance(GridDistribution(n, p), target))
+    assert np.max(np.abs(result.tv_curve - np.array(curve))) <= 1e-12
+    assert curve[-2] > 0.25 >= curve[-1]
+
+
 # ----------------------------------------------------------------------
 # TV distance
 # ----------------------------------------------------------------------
