@@ -17,10 +17,31 @@ Processes, all sharing the step scale sigma = 1/(a*sqrt(2)):
 Sampling is inverse-CDF throughout (a single uniform per draw), which is
 what makes the couplings in ``coupling`` exact rather than approximate.
 
+Engine: each process, and each coupled pair in ``coupling``, is written
+once as a ``_Process``:
+
+  draw(rng, width)       one step's random arrays, in stream order;
+  step(state, draws, t)  updates a dict of per-trajectory arrays;
+  hits                   named first-hit predicates on the state.
+
+Two drivers run every public runner.  ``_run_ensemble`` fills the start
+state per chunk, draws step by step from the chunk's stream, records first
+hits (the start counts as t = 0) and concatenates only the named outputs.
+``_run_single`` draws all steps up front from one stream, steps a 0-d
+state (numpy's scalar path is the fast one for a single trajectory) and
+records its path, to which it applies the same predicates.
+The single-run Z and W walks are the exception: ``_walk_path`` sums their
+increments with one ``cumsum``, because a step loop would add sequentially
+and so round differently, and would make 10^6-step runs a Python loop.
+Directions are held as booleans (True = the u coordinate moved) and become
+'U'/'V' strings only in the returned records and ensembles.
+
 Reproducibility: single-trajectory runners derive their stream from the
-seed alone.  Ensemble runners assign trajectory draws by global trajectory
-index through fixed-width chunks of spawned SeedSequence streams, so
-results depend only on (seed, index), never on chunking or thread count.
+seed alone, drawing every step's first array (X's coins) before the next
+(the uniforms).  Ensemble runners assign trajectory draws by global
+trajectory index through fixed-width chunks of spawned SeedSequence
+streams, so results depend only on (seed, index), never on chunking or
+thread count.
 """
 
 from __future__ import annotations
@@ -28,7 +49,7 @@ from __future__ import annotations
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -62,17 +83,20 @@ def _chunk_ranges(trajectories: int):
         yield chunk_index, start, min(_CHUNK, trajectories - start)
 
 
+def _check_count(name: str, value: int, least: int) -> None:
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 def _run_chunked(worker, steps: int, trajectories: int, threads: int = 1):
     """Run ``worker(chunk_index, width)`` over all chunks, in index order.
 
     Rejects counts no ensemble can run: ``trajectories < 1``,
     ``threads < 1`` or ``steps < 0``.
     """
-    for name, value, least in (
-        ("trajectories", trajectories, 1), ("threads", threads, 1), ("steps", steps, 0)
-    ):
-        if value < least:
-            raise ValueError(f"{name} must be >= {least}, got {value}")
+    _check_count("trajectories", trajectories, 1)
+    _check_count("threads", threads, 1)
+    _check_count("steps", steps, 0)
     jobs = list(_chunk_ranges(trajectories))
     if threads > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -142,7 +166,10 @@ class TrajectoryRecord:
             },
         }
         if self.direction_sequence is not None:
-            out["direction_changes"] = count_direction_changes(self.direction_sequence)
+            # a run without steps made no direction changes
+            out["direction_changes"] = (
+                count_direction_changes(self.direction_sequence) if self.steps else 0
+            )
         return out
 
     def summary_json(self, path) -> None:
@@ -185,6 +212,195 @@ def step_x(state, direction: str, rng_draw: float, params: ModelParams):
     return (u, v)
 
 
+
+# ======================================================================
+# the engine
+# ======================================================================
+
+class _Process(NamedTuple):
+    """One process (or coupled pair), run by either driver.
+
+    ``draw(rng, width)`` returns one step's random arrays in stream order;
+    ``step(state, draws, t)`` applies the draws of step t (t = 0 is the
+    first step) to the state dict, replacing its entries; ``hits`` maps a
+    stopping-time name to a predicate on the state.  The state holds
+    arrays of one width in an ensemble and 0-d values in a single run.
+    """
+
+    draw: Callable
+    step: Callable
+    hits: dict
+
+
+def _hit_update(times: np.ndarray, mask: np.ndarray, t: int) -> None:
+    np.putmask(times, np.isnan(times) & mask, float(t))
+
+
+def _first_index(mask: np.ndarray):
+    idx = np.flatnonzero(mask)
+    return int(idx[0]) if idx.size else None
+
+
+def _run_ensemble(process: _Process, start: dict, outputs: tuple, steps: int, seed: int,
+                  trajectories: int, threads: int) -> list:
+    """Run ``process`` from ``start`` for every trajectory.
+
+    Returns one array per name in ``outputs`` (state entries or stopping
+    times), concatenated over chunks.  Stopping times are float step
+    indices, NaN when never reached.
+    """
+
+    def worker(chunk_index: int, width: int):
+        rng = _chunk_rng(seed, chunk_index)
+        state = {key: np.full(width, value) for key, value in start.items()}
+        state.update((name, np.full(width, np.nan)) for name in process.hits)
+        for t in range(steps + 1):
+            if t:
+                process.step(state, process.draw(rng, width), t - 1)
+            for name, hit in process.hits.items():
+                _hit_update(state[name], hit(state), t)
+        return [state[key] for key in outputs]
+
+    parts = _run_chunked(worker, steps, trajectories, threads)
+    return [np.concatenate(column) for column in zip(*parts)]
+
+
+def _run_single(process: _Process, start: dict, steps: int, seed: int):
+    """Run ``process`` once from ``start`` on the stream of ``seed``.
+
+    Returns the path of every state entry (steps + 1 values each) and the
+    first-hit index of each stopping time, or None when never hit.
+    """
+    _check_count("steps", steps, 0)
+    draws = process.draw(_master_rng(seed), steps)
+    state = {key: np.full((), value) for key, value in start.items()}
+    path = {key: np.empty(steps + 1, dtype=arr.dtype) for key, arr in state.items()}
+    for t in range(steps + 1):
+        if t:
+            process.step(state, [d[t - 1] for d in draws], t - 1)
+        for key, value in state.items():
+            path[key][t] = value
+    return path, {name: _first_index(hit(path)) for name, hit in process.hits.items()}
+
+
+def _walk_path(process: _Process, w0: float, steps: int, seed: int):
+    """Single-run path of a walk process: ``w0`` plus the cumsum of its draws."""
+    _check_count("steps", steps, 0)
+    (increments,) = process.draw(_master_rng(seed), steps)
+    path = np.empty(steps + 1, dtype=float)
+    path[0] = w0
+    np.cumsum(increments, out=path[1:])
+    path[1:] += w0
+    return path, {name: _first_index(hit({"w": path})) for name, hit in process.hits.items()}
+
+
+# ======================================================================
+# processes
+# ======================================================================
+
+def _uniforms(rng: np.random.Generator, width: int):
+    return (rng.random(width),)
+
+
+def _x_coins(rng: np.random.Generator, width: int):
+    # coin 0 moves u, coin 1 moves v
+    return rng.integers(0, 2, size=width), rng.random(width)
+
+
+def _xstar_coins(rng: np.random.Generator, width: int):
+    # v on odd steps t = 1, 3, ..., u on even ones; only the uniforms are random
+    return np.arange(1, width + 1) % 2, rng.random(width)
+
+
+def _x_process(params: ModelParams, draw) -> _Process:
+    """The planar sampler, with its direction statistics.
+
+    ``newest`` is the coordinate drawn at the latest step.  Holding it in
+    the state also keeps its buffer alive into the next step: freed at the
+    end of every step, it let the allocator trim the heap top and fault it
+    back in, which made the two-thread X ensemble about 15% slower.
+    """
+    sigma = params.sigma
+
+    def step(s, draws, t):
+        coins, uniforms = draws
+        pick_u = coins == 0
+        fresh = _trunc_quantile_core(np.where(pick_u, s["v"], s["u"]), sigma, 0.0, 1.0, uniforms)
+        s["u"] = np.where(pick_u, fresh, s["u"])
+        s["v"] = np.where(pick_u, s["v"], fresh)
+        s["newest"] = fresh
+        s["u_count"] = s["u_count"] + pick_u
+        if t:
+            s["changes"] = s["changes"] + (pick_u != s["last_u"])
+        else:
+            s["first_u"] = pick_u
+        s["last_u"] = pick_u
+
+    return _Process(draw, step, {})
+
+
+def _planar_start(start) -> dict:
+    return {
+        "u": _check_unit(start[0], "start u"),
+        "v": _check_unit(start[1], "start v"),
+        "newest": np.nan,
+        "changes": 0,
+        "u_count": 0,
+        "first_u": False,
+        "last_u": False,
+    }
+
+
+def _directions(pick_u: np.ndarray) -> np.ndarray:
+    return np.where(pick_u, DIRECTION_U, DIRECTION_V)
+
+
+def _in_middle(params: ModelParams):
+    lo, hi = params.middle_lo, params.middle_hi
+    return lambda s: (s["y"] >= lo) & (s["y"] <= hi)
+
+
+def _reached_middle(params: ModelParams):
+    lo = params.middle_lo
+    return lambda s: s["y"] >= lo
+
+
+def _outside_unit(s) -> np.ndarray:
+    return (s["w"] < 0.0) | (s["w"] > 1.0)
+
+
+def _flip_process(params: ModelParams, hi: float, hits: dict) -> _Process:
+    """Flip chain on [0, hi]: one truncated draw centered at the last value."""
+    sigma = params.sigma
+
+    def step(s, draws, t):
+        s["y"] = _trunc_quantile_core(s["y"], sigma, 0.0, hi, draws[0])
+
+    return _Process(_uniforms, step, hits)
+
+
+def _y_process(params: ModelParams) -> _Process:
+    hits = {"nu_m": _in_middle(params), "nu_m_tilde": _reached_middle(params)}
+    return _flip_process(params, 1.0, hits)
+
+
+def _y_prime_process(params: ModelParams) -> _Process:
+    return _flip_process(params, np.inf, {"nu_m_hat": _reached_middle(params)})
+
+
+def _walk_process(params: ModelParams, hits: dict) -> _Process:
+    """Plain Gaussian walk w; Z reports |w|, W its exit from [0, 1]."""
+    sigma = params.sigma
+
+    def draw(rng, width):
+        return (sigma * rng.standard_normal(width),)
+
+    def step(s, draws, t):
+        s["w"] = s["w"] + draws[0]
+
+    return _Process(draw, step, hits)
+
+
 # ======================================================================
 # single-trajectory runners
 # ======================================================================
@@ -196,63 +412,37 @@ def _check_unit(x: float, name: str) -> float:
     return x
 
 
-def _run_planar(
-    process: str,
-    directions: np.ndarray,
-    start,
-    steps: int,
-    params: ModelParams,
-    seed: int,
-    draws: np.ndarray,
-    record_states: bool,
-) -> TrajectoryRecord:
-    u = _check_unit(start[0], "start u")
-    v = _check_unit(start[1], "start v")
-    sigma = params.sigma
-    states = np.empty((steps + 1, 2), dtype=float) if record_states else None
-    if states is not None:
-        states[0] = (u, v)
-    for t in range(steps):
-        if directions[t] == DIRECTION_U:
-            u = float(_trunc_quantile_core(v, sigma, 0.0, 1.0, draws[t]))
-        else:
-            v = float(_trunc_quantile_core(u, sigma, 0.0, 1.0, draws[t]))
-        if states is not None:
-            states[t + 1] = (u, v)
+def _check_nonnegative(x: float, name: str) -> float:
+    x = float(x)
+    if x < 0.0:
+        raise ValueError(f"{name} must be >= 0, got {x}")
+    return x
+
+
+def _record(process_name, path, steps, params, seed, record_states, **fields):
+    """Record of one run whose last state in ``path`` is the terminal one."""
     return TrajectoryRecord(
-        process_name=process,
-        steps=steps,
-        seed=seed,
-        params=params,
-        terminal=np.array((u, v)),
-        states=states,
-        direction_sequence=directions,
+        process_name, steps, seed, params, terminal=np.array(path[-1]),
+        states=path if record_states else None, **fields,
     )
+
+
+def _run_planar(process_name, draw, start, steps, params, seed, record_states):
+    path, _ = _run_single(_x_process(params, draw), _planar_start(start), steps, seed)
+    states = np.column_stack((path["u"], path["v"]))
+    directions = _directions(path["last_u"][1:])
+    return _record(process_name, states, steps, params, seed, record_states,
+                   direction_sequence=directions)
 
 
 def run_x(start, steps: int, params: ModelParams, seed: int, record_states: bool = True):
     """Random-scan sampler: fair independent direction coins."""
-    rng = _master_rng(seed)
-    coins = rng.integers(0, 2, size=steps)
-    directions = np.where(coins == 0, DIRECTION_U, DIRECTION_V)
-    draws = rng.random(steps)
-    return _run_planar("X", directions, start, steps, params, seed, draws, record_states)
+    return _run_planar("X", _x_coins, start, steps, params, seed, record_states)
 
 
 def run_xstar(start, steps: int, params: ModelParams, seed: int, record_states: bool = True):
     """Alternating-direction sampler: v on odd steps, u on even steps."""
-    rng = _master_rng(seed)
-    t = np.arange(1, steps + 1)
-    directions = np.where(t % 2 == 1, DIRECTION_V, DIRECTION_U)
-    draws = rng.random(steps)
-    rec = _run_planar("X", directions, start, steps, params, seed, draws, record_states)
-    rec.process_name = "XStar"
-    return rec
-
-
-def _first_index(mask: np.ndarray):
-    idx = np.flatnonzero(mask)
-    return int(idx[0]) if idx.size else None
+    return _run_planar("XStar", _xstar_coins, start, steps, params, seed, record_states)
 
 
 def run_y(
@@ -260,83 +450,32 @@ def run_y(
 ) -> TrajectoryRecord:
     """Scalar flip chain on [0, 1]; records middle-band hitting times.
 
-    nu_m is the first index with |Y - 1/2| <= delta, nu_m_tilde the first
-    index with Y >= 1/2 - delta (so nu_m_tilde <= nu_m always).
+    nu_m is the first index with 1/2 - delta <= Y <= 1/2 + delta,
+    nu_m_tilde the first index with Y >= 1/2 - delta (so nu_m_tilde <= nu_m
+    always).
     """
-    y = _check_unit(start_u, "start_u")
-    rng = _master_rng(seed)
-    draws = rng.random(steps)
-    sigma = params.sigma
-    path = np.empty(steps + 1, dtype=float)
-    path[0] = y
-    for t in range(steps):
-        y = float(_trunc_quantile_core(y, sigma, 0.0, 1.0, draws[t]))
-        path[t + 1] = y
-    in_middle = np.abs(path - 0.5) <= params.delta
-    above = path >= params.middle_lo
-    return TrajectoryRecord(
-        process_name="Y",
-        steps=steps,
-        seed=seed,
-        params=params,
-        terminal=np.array(y),
-        stopping_times={
-            "nu_m": _first_index(in_middle),
-            "nu_m_tilde": _first_index(above),
-        },
-        states=path if record_states else None,
-    )
+    start = {"y": _check_unit(start_u, "start_u")}
+    path, times = _run_single(_y_process(params), start, steps, seed)
+    return _record("Y", path["y"], steps, params, seed, record_states, stopping_times=times)
 
 
 def run_y_prime(
     start_u: float, steps: int, params: ModelParams, seed: int, record_states: bool = True
 ) -> TrajectoryRecord:
     """Flip chain with the upper wall removed (support [0, inf))."""
-    y = float(start_u)
-    if y < 0.0:
-        raise ValueError(f"start_u must be >= 0, got {y}")
-    rng = _master_rng(seed)
-    draws = rng.random(steps)
-    sigma = params.sigma
-    path = np.empty(steps + 1, dtype=float)
-    path[0] = y
-    for t in range(steps):
-        y = float(_trunc_quantile_core(y, sigma, 0.0, np.inf, draws[t]))
-        path[t + 1] = y
-    return TrajectoryRecord(
-        process_name="YPrime",
-        steps=steps,
-        seed=seed,
-        params=params,
-        terminal=np.array(y),
-        stopping_times={"nu_m_hat": _first_index(path >= params.middle_lo)},
-        states=path if record_states else None,
-    )
+    start = {"y": _check_nonnegative(start_u, "start_u")}
+    path, times = _run_single(_y_prime_process(params), start, steps, seed)
+    return _record("YPrime", path["y"], steps, params, seed, record_states, stopping_times=times)
 
 
 def run_z(
     start: float, steps: int, params: ModelParams, seed: int, record_states: bool = True
 ) -> TrajectoryRecord:
     """Reflected free walk: states are |walk|, aux_states the signed walk."""
-    w0 = float(start)
-    if w0 < 0.0:
-        raise ValueError(f"start must be >= 0, got {w0}")
-    rng = _master_rng(seed)
-    increments = params.sigma * rng.standard_normal(steps)
-    signed = np.empty(steps + 1, dtype=float)
-    signed[0] = w0
-    np.cumsum(increments, out=signed[1:])
-    signed[1:] += w0
-    path = np.abs(signed)
-    return TrajectoryRecord(
-        process_name="Z",
-        steps=steps,
-        seed=seed,
-        params=params,
-        terminal=np.array(path[-1]),
-        states=path if record_states else None,
-        aux_states=signed if record_states else None,
-    )
+    w0 = _check_nonnegative(start, "start")
+    signed, _ = _walk_path(_walk_process(params, {}), w0, steps, seed)
+    return _record("Z", np.abs(signed), steps, params, seed, record_states,
+                   aux_states=signed if record_states else None)
 
 
 def run_w(
@@ -344,22 +483,8 @@ def run_w(
 ) -> TrajectoryRecord:
     """Plain Gaussian walk; records the first exit from [0, 1]."""
     w0 = _check_unit(start, "start")
-    rng = _master_rng(seed)
-    increments = params.sigma * rng.standard_normal(steps)
-    path = np.empty(steps + 1, dtype=float)
-    path[0] = w0
-    np.cumsum(increments, out=path[1:])
-    path[1:] += w0
-    outside = (path < 0.0) | (path > 1.0)
-    return TrajectoryRecord(
-        process_name="W",
-        steps=steps,
-        seed=seed,
-        params=params,
-        terminal=np.array(path[-1]),
-        stopping_times={"nu_c2": _first_index(outside)},
-        states=path if record_states else None,
-    )
+    path, times = _walk_path(_walk_process(params, {"nu_c2": _outside_unit}), w0, steps, seed)
+    return _record("W", path, steps, params, seed, record_states, stopping_times=times)
 
 
 # ======================================================================
@@ -404,125 +529,43 @@ def run_x_ensemble(
     start, steps: int, params: ModelParams, seed: int, trajectories: int, threads: int = 1
 ) -> XEnsemble:
     """Terminal states of many sampler runs, plus direction statistics."""
-    u0 = _check_unit(start[0], "start u")
-    v0 = _check_unit(start[1], "start v")
-    sigma = params.sigma
-
-    def worker(chunk_index: int, width: int):
-        # One coin vector and one uniform vector per step, in that order.
-        rng = _chunk_rng(seed, chunk_index)
-        u = np.full(width, u0)
-        v = np.full(width, v0)
-        changes = np.zeros(width, dtype=np.int64)
-        u_count = np.zeros(width, dtype=np.int64)
-        prev_coins = None
-        first = np.full(width, "", dtype="<U1")
-        for t in range(steps):
-            coins = rng.integers(0, 2, size=width)
-            draws = rng.random(width)
-            pick_u = coins == 0
-            centers = np.where(pick_u, v, u)
-            fresh = _trunc_quantile_core(centers, sigma, 0.0, 1.0, draws)
-            u = np.where(pick_u, fresh, u)
-            v = np.where(pick_u, v, fresh)
-            u_count += pick_u
-            if prev_coins is None:
-                first = np.where(pick_u, DIRECTION_U, DIRECTION_V)
-            else:
-                changes += coins != prev_coins
-            prev_coins = coins
-        return u, v, changes, first, u_count
-
-    parts = _run_chunked(worker, steps, trajectories, threads)
-    return XEnsemble(
-        u=np.concatenate([p[0] for p in parts]),
-        v=np.concatenate([p[1] for p in parts]),
-        direction_changes=np.concatenate([p[2] for p in parts]),
-        first_direction=np.concatenate([p[3] for p in parts]),
-        u_direction_count=np.concatenate([p[4] for p in parts]),
-        steps=steps,
+    u, v, changes, first_u, u_count = _run_ensemble(
+        _x_process(params, _x_coins), _planar_start(start),
+        ("u", "v", "changes", "first_u", "u_count"), steps, seed, trajectories, threads,
     )
-
-
-def _hit_update(times: np.ndarray, mask: np.ndarray, t: int) -> None:
-    np.putmask(times, np.isnan(times) & mask, float(t))
+    # a run without steps has no first direction
+    first = _directions(first_u) if steps else np.full(trajectories, "", dtype="<U1")
+    return XEnsemble(u, v, changes, first, u_count, steps)
 
 
 def run_y_ensemble(
     start_u: float, steps: int, params: ModelParams, seed: int, trajectories: int,
     threads: int = 1,
 ) -> YEnsemble:
-    y0 = _check_unit(start_u, "start_u")
-    sigma = params.sigma
-    lo_band, hi_band = params.middle_lo, params.middle_hi
-
-    def worker(chunk_index: int, width: int):
-        rng = _chunk_rng(seed, chunk_index)
-        y = np.full(width, y0)
-        nu_m = np.full(width, np.nan)
-        nu_tilde = np.full(width, np.nan)
-        _hit_update(nu_m, (y >= lo_band) & (y <= hi_band), 0)
-        _hit_update(nu_tilde, y >= lo_band, 0)
-        for t in range(steps):
-            y = _trunc_quantile_core(y, sigma, 0.0, 1.0, rng.random(width))
-            _hit_update(nu_m, (y >= lo_band) & (y <= hi_band), t + 1)
-            _hit_update(nu_tilde, y >= lo_band, t + 1)
-        return y, nu_m, nu_tilde
-
-    parts = _run_chunked(worker, steps, trajectories, threads)
-    return YEnsemble(
-        terminal=np.concatenate([p[0] for p in parts]),
-        nu_m=np.concatenate([p[1] for p in parts]),
-        nu_m_tilde=np.concatenate([p[2] for p in parts]),
-        steps=steps,
-    )
+    start = {"y": _check_unit(start_u, "start_u")}
+    return YEnsemble(*_run_ensemble(
+        _y_process(params), start, ("y", "nu_m", "nu_m_tilde"), steps, seed, trajectories, threads,
+    ), steps)
 
 
 def run_y_prime_ensemble(
     start_u: float, steps: int, params: ModelParams, seed: int, trajectories: int,
     threads: int = 1,
 ) -> YPrimeEnsemble:
-    y0 = float(start_u)
-    if y0 < 0.0:
-        raise ValueError(f"start_u must be >= 0, got {y0}")
-    sigma = params.sigma
-    lo_band = params.middle_lo
-
-    def worker(chunk_index: int, width: int):
-        rng = _chunk_rng(seed, chunk_index)
-        y = np.full(width, y0)
-        nu_hat = np.full(width, np.nan)
-        _hit_update(nu_hat, y >= lo_band, 0)
-        for t in range(steps):
-            y = _trunc_quantile_core(y, sigma, 0.0, np.inf, rng.random(width))
-            _hit_update(nu_hat, y >= lo_band, t + 1)
-        return y, nu_hat
-
-    parts = _run_chunked(worker, steps, trajectories, threads)
-    return YPrimeEnsemble(
-        terminal=np.concatenate([p[0] for p in parts]),
-        nu_m_hat=np.concatenate([p[1] for p in parts]),
-        steps=steps,
-    )
+    start = {"y": _check_nonnegative(start_u, "start_u")}
+    return YPrimeEnsemble(*_run_ensemble(
+        _y_prime_process(params), start, ("y", "nu_m_hat"), steps, seed, trajectories, threads,
+    ), steps)
 
 
 def run_z_ensemble(
     start: float, steps: int, params: ModelParams, seed: int, trajectories: int,
     threads: int = 1,
 ) -> ZEnsemble:
-    z0 = float(start)
-    if z0 < 0.0:
-        raise ValueError(f"start must be >= 0, got {z0}")
-    sigma = params.sigma
-
-    def worker(chunk_index: int, width: int):
-        rng = _chunk_rng(seed, chunk_index)
-        signed = np.full(width, z0)
-        for _ in range(steps):
-            signed = signed + sigma * rng.standard_normal(width)
-        return signed
-
-    signed = np.concatenate(_run_chunked(worker, steps, trajectories, threads))
+    (signed,) = _run_ensemble(
+        _walk_process(params, {}), {"w": _check_nonnegative(start, "start")}, ("w",),
+        steps, seed, trajectories, threads,
+    )
     return ZEnsemble(terminal_abs=np.abs(signed), terminal_signed=signed, steps=steps)
 
 
@@ -530,21 +573,8 @@ def run_w_ensemble(
     start: float, steps: int, params: ModelParams, seed: int, trajectories: int,
     threads: int = 1,
 ) -> WEnsemble:
-    w0 = _check_unit(start, "start")
-    sigma = params.sigma
-
-    def worker(chunk_index: int, width: int):
-        rng = _chunk_rng(seed, chunk_index)
-        w = np.full(width, w0)
-        nu = np.full(width, np.nan)
-        for t in range(steps):
-            w = w + sigma * rng.standard_normal(width)
-            _hit_update(nu, (w < 0.0) | (w > 1.0), t + 1)
-        return w, nu
-
-    parts = _run_chunked(worker, steps, trajectories, threads)
-    return WEnsemble(
-        terminal=np.concatenate([p[0] for p in parts]),
-        nu_c2=np.concatenate([p[1] for p in parts]),
-        steps=steps,
-    )
+    start = {"w": _check_unit(start, "start")}
+    return WEnsemble(*_run_ensemble(
+        _walk_process(params, {"nu_c2": _outside_unit}), start, ("w", "nu_c2"),
+        steps, seed, trajectories, threads,
+    ), steps)

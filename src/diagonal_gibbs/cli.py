@@ -246,15 +246,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
-    """Merge explicit flags over --config file entries over built-in defaults."""
+    """Merge explicit flags over --config file entries over built-in defaults.
+
+    File entries are parsed as the flags they name, so they pass the same
+    checks; a bad one is a usage error (exit 2).
+    """
     resolved = dict(_DEFAULTS[args.command])
     if args.config:
         with open(args.config) as fh:
-            file_conf = json.load(fh)
-        for key, value in file_conf.items():
-            key = key.replace("-", "_")
-            if key in resolved:
-                resolved[key] = value
+            file_conf = {key.replace("-", "_"): value for key, value in json.load(fh).items()}
+        keys = [key for key in resolved if file_conf.get(key) is not None]
+        flags = [f"--{key.replace('_', '-')}={file_conf[key]}" for key in keys]
+        file_args = build_parser().parse_args([args.command, *flags])
+        resolved.update((key, getattr(file_args, key)) for key in keys)
     for key in resolved:
         cli_value = getattr(args, key, None)
         if cli_value is not None:

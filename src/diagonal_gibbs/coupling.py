@@ -15,6 +15,13 @@ is a deterministic function of one stream:
                otherwise redraws from its truncated conditional.  The paths
                agree exactly until the free walk first exits [0,1] (nu_c2).
 
+Each pair is written once as a ``chains._Process``: ``draw`` returns one
+step's shared randomness in stream order, ``step`` moves both chains of
+the pair, held side by side in one state dict, and the decoupling times
+are named first-hit predicates on that state (nu_c1 is the first step at
+which the pair is no longer coupled).  ``chains._run_ensemble`` runs all
+three, chunked and threaded like the single-process ensembles.
+
 Ordering bookkeeping for Z/YPrime: the upper draw is computed first and
 passed to the folded quantile solver as a bracket, which it is entitled to
 mathematically (dominance) and which removes last-ulp ties as a source of
@@ -39,7 +46,14 @@ from .density import (
     _trunc_cdf_core,
     _trunc_quantile_core,
 )
-from .chains import _chunk_rng, _run_chunked
+from .chains import (
+    _Process,
+    _check_nonnegative,
+    _outside_unit,
+    _reached_middle,
+    _run_ensemble,
+    _uniforms,
+)
 
 PAIR_NAMES = ("Y_YPrime", "Z_YPrime", "Y_W")
 
@@ -163,35 +177,29 @@ def couple_z_yprime(
     ordering_violations counts strict inversions of the returned pair plus
     failures of the per-step dominance check.
     """
-    z0 = float(start)
-    if z0 < 0.0:
-        raise ValueError(f"start must be >= 0, got {z0}")
+    z0 = _check_nonnegative(start, "start")
     sigma = params.sigma
 
-    def worker(chunk_index: int, width: int):
-        rng = _chunk_rng(seed, chunk_index)
-        z = np.full(width, z0)
-        y = np.full(width, z0)
-        violations = 0
-        for _ in range(steps):
-            u = rng.random(width)
-            z_next, y_next, dominance_ok = _monotone_core(z, y, u, sigma)
-            violations += int(np.count_nonzero(~dominance_ok))
-            violations += int(np.count_nonzero(z_next > y_next))
-            z, y = z_next, y_next
-        return z, y, violations
+    def step(s, draws, t):
+        z, y, dominance_ok = _monotone_core(s["z"], s["y"], draws[0], sigma)
+        s["violations"] += ~dominance_ok
+        s["violations"] += z > y
+        s["z"], s["y"] = z, y
 
-    parts = _run_chunked(worker, steps, trajectories, threads)
+    z, y, violations = _run_ensemble(
+        _Process(_uniforms, step, {}), {"z": z0, "y": z0, "violations": 0},
+        ("z", "y", "violations"), steps, seed, trajectories, threads,
+    )
     return CouplingReport(
         pair_name="Z_YPrime",
         trajectories=trajectories,
         steps_per_trajectory=steps,
         decoupling_times=[None] * trajectories,
-        ordering_violations=sum(p[2] for p in parts),
+        ordering_violations=int(violations.sum()),
         params_used=params,
         seed=seed,
-        terminal_first=np.concatenate([p[0] for p in parts]),
-        terminal_second=np.concatenate([p[1] for p in parts]),
+        terminal_first=z,
+        terminal_second=y,
     )
 
 
@@ -244,25 +252,21 @@ def couple_y_w(
         )
     sigma = params.sigma
 
-    def worker(chunk_index: int, width: int):
-        rng = _chunk_rng(seed, chunk_index)
-        w = np.full(width, w0)
-        y = np.full(width, w0)
-        nu = np.full(width, np.nan)
-        for t in range(steps):
-            zeta = sigma * rng.standard_normal(width)
-            fresh = rng.random(width)
-            w = w + zeta
-            y_cand = y + zeta
-            inside = (y_cand >= 0.0) & (y_cand <= 1.0)
-            redraw = _trunc_quantile_core(y, sigma, 0.0, 1.0, fresh)
-            y = np.where(inside, y_cand, redraw)
-            exited = (w < 0.0) | (w > 1.0)
-            np.putmask(nu, np.isnan(nu) & exited, float(t + 1))
-        return w, y, nu
+    def draw(rng, width):
+        return sigma * rng.standard_normal(width), rng.random(width)
 
-    parts = _run_chunked(worker, steps, trajectories, threads)
-    nu_c2 = np.concatenate([p[2] for p in parts])
+    def step(s, draws, t):
+        zeta, fresh = draws
+        s["w"] = s["w"] + zeta
+        y_cand = s["y"] + zeta
+        inside = (y_cand >= 0.0) & (y_cand <= 1.0)
+        redraw = _trunc_quantile_core(s["y"], sigma, 0.0, 1.0, fresh)
+        s["y"] = np.where(inside, y_cand, redraw)
+
+    y, w, nu_c2 = _run_ensemble(
+        _Process(draw, step, {"nu_c2": _outside_unit}), {"w": w0, "y": w0},
+        ("y", "w", "nu_c2"), steps, seed, trajectories, threads,
+    )
     return CouplingReport(
         pair_name="Y_W",
         trajectories=trajectories,
@@ -271,8 +275,8 @@ def couple_y_w(
         ordering_violations=0,
         params_used=params,
         seed=seed,
-        terminal_first=np.concatenate([p[1] for p in parts]),  # Y
-        terminal_second=np.concatenate([p[0] for p in parts]),  # W
+        terminal_first=y,
+        terminal_second=w,
         aux={"nu_c2": nu_c2},
     )
 
@@ -299,33 +303,24 @@ def couple_y_yprime(
     if not (0.0 <= y0 < params.middle_lo):
         raise ValueError(f"start must lie in [0, {params.middle_lo}), got {y0}")
     sigma = params.sigma
-    lo_band = params.middle_lo
 
-    def worker(chunk_index: int, width: int):
-        rng = _chunk_rng(seed, chunk_index)
-        y = np.full(width, y0)
-        yp = np.full(width, y0)
-        nu_c1 = np.full(width, np.nan)
-        nu_tilde = np.full(width, np.nan)
-        coupled = np.ones(width, dtype=bool)
-        _hit_mask = y >= lo_band
-        np.putmask(nu_tilde, _hit_mask, 0.0)
-        for t in range(steps):
-            shared = rng.random(width)
-            fresh = rng.random(width)
-            draw = _trunc_quantile_core(yp, sigma, 0.0, np.inf, shared)
-            yp = draw
-            overshoot = coupled & (draw >= 1.0)
-            redraw_needed = overshoot | ~coupled
-            redraw = _trunc_quantile_core(y, sigma, 0.0, 1.0, np.where(coupled, fresh, shared))
-            y = np.where(redraw_needed, redraw, np.where(coupled, draw, y))
-            np.putmask(nu_c1, np.isnan(nu_c1) & overshoot, float(t + 1))
-            coupled = coupled & ~overshoot
-            np.putmask(nu_tilde, np.isnan(nu_tilde) & (y >= lo_band), float(t + 1))
-        return y, yp, nu_c1, nu_tilde
+    def draw(rng, width):
+        return rng.random(width), rng.random(width)
 
-    parts = _run_chunked(worker, steps, trajectories, threads)
-    nu_c1 = np.concatenate([p[2] for p in parts])
+    def step(s, draws, t):
+        shared, fresh = draws
+        coupled = s["coupled"]
+        s["yp"] = _trunc_quantile_core(s["yp"], sigma, 0.0, np.inf, shared)
+        overshoot = coupled & (s["yp"] >= 1.0)
+        redraw = _trunc_quantile_core(s["y"], sigma, 0.0, 1.0, np.where(coupled, fresh, shared))
+        s["y"] = np.where(overshoot | ~coupled, redraw, s["yp"])
+        s["coupled"] = coupled & ~overshoot
+
+    hits = {"nu_c1": lambda s: ~s["coupled"], "nu_m_tilde": _reached_middle(params)}
+    y, yp, nu_c1, nu_m_tilde = _run_ensemble(
+        _Process(draw, step, hits), {"y": y0, "yp": y0, "coupled": True},
+        ("y", "yp", "nu_c1", "nu_m_tilde"), steps, seed, trajectories, threads,
+    )
     return CouplingReport(
         pair_name="Y_YPrime",
         trajectories=trajectories,
@@ -334,7 +329,7 @@ def couple_y_yprime(
         ordering_violations=0,
         params_used=params,
         seed=seed,
-        terminal_first=np.concatenate([p[0] for p in parts]),   # Y
-        terminal_second=np.concatenate([p[1] for p in parts]),  # YPrime
-        aux={"nu_c1": nu_c1, "nu_m_tilde": np.concatenate([p[3] for p in parts])},
+        terminal_first=y,
+        terminal_second=yp,
+        aux={"nu_c1": nu_c1, "nu_m_tilde": nu_m_tilde},
     )

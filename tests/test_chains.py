@@ -369,6 +369,25 @@ def test_ensemble_runners_reject_bad_counts(name):
     runner(start, 0, params, seed=0, trajectories=1, threads=1)
 
 
+# every single-trajectory runner, with a start it accepts
+_SINGLE_RUNNERS = {
+    "run_x": (run_x, (0.5, 0.5)),
+    "run_xstar": (run_xstar, (0.5, 0.5)),
+    "run_y": (run_y, 0.2),
+    "run_y_prime": (run_y_prime, 0.2),
+    "run_z": (run_z, 0.2),
+    "run_w": (run_w, 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SINGLE_RUNNERS))
+def test_single_runners_reject_negative_steps(name):
+    runner, start = _SINGLE_RUNNERS[name]
+    with pytest.raises(ValueError, match="steps"):
+        runner(start, -3, ModelParams(10.0), seed=0)
+    assert runner(start, 0, ModelParams(10.0), seed=0).steps == 0
+
+
 def test_x_ensemble_matches_marginal_sanity():
     # terminal coordinates stay inside the square and directions were used
     ens = run_x_ensemble((0.0, 0.0), 100, ModelParams(10.0), seed=91, trajectories=5000)

@@ -121,6 +121,15 @@ def test_sim_planar_trajectory_has_two_columns(tmp_path, capsys):
     lines = (tmp_path / "trajectory.csv").read_text().splitlines()
     assert lines[0] == "step,u,v"
     assert lines[1] == "0,0.2,0.9"
+    # a run without steps has no direction changes
+    for process in ("x", "xstar"):
+        code, out, _ = run_cli(
+            ["sim", "--process", process, "--steps", "0", "--start", "0.2,0.9",
+             "--out-dir", str(tmp_path / process)],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(out)["direction_changes"] == 0
 
 
 def test_sim_ensemble_reports_hitting_quantiles(tmp_path, capsys):
@@ -288,6 +297,13 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out-dir", str(tmp_path / "bad")])
         assert exc.value.code == 2, argv
+    # --config values pass the same checks as the flags they name
+    conf_path = tmp_path / "bad.json"
+    conf_path.write_text(json.dumps({"steps": -2}))
+    with pytest.raises(SystemExit) as exc:
+        main(["sim", "--config", str(conf_path), "--trajectories", "3",
+              "--out-dir", str(tmp_path / "bad")])
+    assert exc.value.code == 2
     assert not (tmp_path / "bad").exists()
     capsys.readouterr()
 
