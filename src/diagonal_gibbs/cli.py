@@ -144,11 +144,28 @@ _POSITIVE = _count_at_least(1)
 _AT_LEAST_2 = _count_at_least(2)
 
 
-def _parse_start_pair(text: str) -> tuple[float, float]:
+def _parse_start(conf: dict, command: str):
+    """The --start value for ``command``: one number for the one-dimensional
+    sim processes, a 'u,v' pair otherwise; None (sim's default) stays None.
+
+    A malformed value raises ArgumentTypeError, which ``main`` reports as a
+    usage error before anything is written.
+    """
+    text = conf.get("start")
+    if text is None:
+        return None
+    text = str(text)
+    scalar = command == "sim" and conf["process"] not in _PLANAR
     parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected 'u,v', got {text!r}")
-    return float(parts[0]), float(parts[1])
+    try:
+        if scalar:
+            return float(text)
+        if len(parts) == 2:
+            return float(parts[0]), float(parts[1])
+    except ValueError:
+        pass
+    expected = "one number" if scalar else "'u,v'"
+    raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
 
 
 def _progress(message: str) -> None:
@@ -283,12 +300,9 @@ def _cmd_sim(conf: dict) -> int:
     out_dir = conf["out_dir"]
     steps, seed, trajectories = conf["steps"], conf["seed"], conf["trajectories"]
 
-    if conf["start"] is None:
+    start = _parse_start(conf, "sim")
+    if start is None:
         start = (0.5, 0.5) if process in _PLANAR else 0.5
-    elif process in _PLANAR:
-        start = _parse_start_pair(str(conf["start"]))
-    else:
-        start = float(conf["start"])
 
     if trajectories > 1 and process == "xstar":
         print("ensemble mode supports x, y, yprime, z, w", file=sys.stderr)
@@ -337,7 +351,10 @@ def _run_ensemble(process, start, steps, params, seed, trajectories, threads) ->
         ens = run_x_ensemble(start, steps, params, seed, trajectories, threads)
         base["terminal_u_mean"] = float(np.mean(ens.u))
         base["terminal_v_mean"] = float(np.mean(ens.v))
-        base["u_direction_fraction"] = float(np.sum(ens.u_direction_count) / (steps * trajectories))
+        # a run without steps has no direction fraction; JSON has no NaN
+        base["u_direction_fraction"] = (
+            float(np.sum(ens.u_direction_count) / (steps * trajectories)) if steps else None
+        )
         base["mean_direction_changes"] = float(np.mean(ens.direction_changes))
         return base
     if process == "y":
@@ -366,7 +383,7 @@ def _run_ensemble(process, start, steps, params, seed, trajectories, threads) ->
 def _cmd_evolve(conf: dict) -> int:
     params = ModelParams(conf["a"], conf["delta"])
     n, steps = conf["n"], conf["steps"]
-    u0, v0 = _parse_start_pair(str(conf["start"]))
+    u0, v0 = _parse_start(conf, "evolve")
     out_dir = conf["out_dir"]
 
     _progress(f"evolving point mass at ({u0}, {v0}) for {steps} steps on the {n}x{n} grid")
@@ -394,7 +411,7 @@ def _cmd_evolve(conf: dict) -> int:
 def _cmd_mix(conf: dict) -> int:
     params = ModelParams(conf["a"], conf["delta"])
     n = conf["n"]
-    u0, v0 = _parse_start_pair(str(conf["start"]))
+    u0, v0 = _parse_start(conf, "mix")
     out_dir = conf["out_dir"]
 
     _progress(f"searching mixing time at a={params.a}, n={n}, eps={conf['eps']}")
@@ -500,8 +517,7 @@ def _cmd_heatmap(conf: dict) -> int:
         dist = build_discretized_target(params, n)
         steps = None
     else:
-        start_text = conf["start"] if conf["start"] is not None else "0,0"
-        u0, v0 = _parse_start_pair(str(start_text))
+        u0, v0 = _parse_start(conf, "heatmap")
         steps = conf["steps"]
         _progress(f"evolving ({u0}, {v0}) for {steps} steps before export")
         dist = evolve_2d(point_mass(u0, v0, n), steps, params)
@@ -558,6 +574,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     conf = resolve_config(args)
+    try:
+        _parse_start(conf, args.command)
+    except argparse.ArgumentTypeError as exc:
+        parser.error(f"argument --start: {exc}")
     _write_manifest(conf, args.command)
     return _COMMANDS[args.command](conf)
 

@@ -12,12 +12,21 @@ family), never through quadrature; quadrature appears only as an oracle in
 the test suite.  Quantiles use a closed-form initial estimate followed by
 safeguarded Newton iterations on the CDF, with bisection midpoints whenever
 a Newton step leaves the current bracket.
+
+A truncation window lying wholly above its center is reflected through it
+(negation is exact), so every CDF difference is taken on the tail at or
+below 1/2, where it keeps relative accuracy.  Phi is evaluated once at each
+reflected endpoint, and those two values are reused by the mass, the
+initial estimate and each Newton step, which then costs one Phi call.  The
+test suite checks the results bit for bit against a reference that
+evaluates both sides of every branch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special
@@ -122,47 +131,76 @@ def marginal_density_pu(x, params: ModelParams):
 # shared low-level pieces
 # ======================================================================
 
-def _std_cdf(z):
-    return special.ndtr(z)
+# Floor that keeps ndtri arguments and Newton divisors positive.
+_TINY = np.finfo(float).tiny
 
 
 def _std_pdf(z):
     return np.exp(-0.5 * z * z) / SQRT_TWO_PI
 
 
-def _interval_mass(alpha, beta):
-    """Phi(beta) - Phi(alpha) evaluated on the tail that keeps precision.
+def _check_p(p):
+    if ((p < 0.0) | (p > 1.0)).any():
+        raise ValueError("quantile argument must lie in [0, 1]")
 
-    For a pair of standardized endpoints on the same side of 0 the naive
-    difference cancels; switching to complementary CDFs restores full
-    relative accuracy.
+
+class _Window(NamedTuple):
+    """A truncation window [lo, hi] standardized about the center.
+
+    ``alpha`` and ``beta`` are (lo - center)/sigma and (hi - center)/sigma.
+    A window wholly above the center (``upper``, alpha > 0) is reflected
+    through it to [lo_r, hi_r] = [-beta, -alpha], so Phi(lo_r) is always the
+    tail at or below 1/2, which keeps relative accuracy; negation is exact.
+    Phi is evaluated once at each reflected endpoint: ``f_lo`` = Phi(lo_r)
+    and ``mass`` = Phi(hi_r) - f_lo.  ``sign`` is -1 on reflected windows
+    and +1 elsewhere; ``offset`` is -Phi(-alpha) on reflected windows and
+    Phi(alpha) elsewhere.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    upper_side = alpha > 0.0
-    return np.where(
-        upper_side,
-        special.ndtr(-alpha) - special.ndtr(-beta),
-        special.ndtr(beta) - special.ndtr(alpha),
+
+    alpha: np.ndarray
+    beta: np.ndarray
+    upper: np.ndarray
+    sign: np.ndarray
+    hi_r: np.ndarray
+    f_lo: np.ndarray
+    offset: np.ndarray
+    mass: np.ndarray
+
+    def mass_to(self, s):
+        """Phi(s) - Phi(alpha) for s in [alpha, beta], with one Phi call.
+
+        On a reflected window this is -Phi(-s) + Phi(-alpha), the same
+        difference taken on the tail that keeps precision, rounded exactly
+        as Phi(-alpha) - Phi(-s).
+        """
+        return self.sign * special.ndtr(self.sign * s) - self.offset
+
+
+def _window(center, sigma: float, lo: float, hi: float) -> _Window:
+    alpha = (lo - center) / sigma
+    beta = (hi - center) / sigma
+    upper = alpha > 0.0
+    hi_r = np.where(upper, -alpha, beta)
+    f_lo = special.ndtr(np.where(upper, -beta, alpha))
+    f_hi = special.ndtr(hi_r)
+    return _Window(
+        alpha, beta, upper, np.where(upper, -1.0, 1.0), hi_r, f_lo,
+        np.where(upper, -f_hi, f_lo), f_hi - f_lo,
     )
 
 
 def _trunc_mass(center, sigma: float, lo: float, hi: float):
-    alpha = (lo - np.asarray(center, dtype=float)) / sigma
-    beta = (hi - np.asarray(center, dtype=float)) / sigma
-    return _interval_mass(alpha, beta)
+    return _window(np.asarray(center, dtype=float), sigma, lo, hi).mass
 
 
 def _trunc_cdf_core(center, sigma: float, lo: float, hi: float, x):
     """CDF of N(center, sigma^2) truncated to [lo, hi], vectorized."""
     center = np.asarray(center, dtype=float)
     x = np.asarray(x, dtype=float)
-    alpha = (lo - center) / sigma
-    beta = (hi - center) / sigma
-    mass = _interval_mass(alpha, beta)
-    _check_mass(mass, center, sigma, lo, hi)
-    s = np.clip((x - center) / sigma, alpha, beta)
-    return np.clip(_interval_mass(alpha, s) / mass, 0.0, 1.0)
+    w = _window(center, sigma, lo, hi)
+    _check_mass(w.mass, center, sigma, lo, hi)
+    s = np.clip((x - center) / sigma, w.alpha, w.beta)
+    return np.clip(w.mass_to(s) / w.mass, 0.0, 1.0)
 
 
 def _check_mass(mass, center, sigma, lo, hi):
@@ -190,39 +228,39 @@ def _trunc_quantile_core(center, sigma: float, lo: float, hi: float, p):
     """
     center = np.asarray(center, dtype=float)
     p = np.asarray(p, dtype=float)
-    if np.any((p < 0.0) | (p > 1.0)):
-        raise ValueError("quantile argument must lie in [0, 1]")
-    center, p = np.broadcast_arrays(center, p)
-    center = center.astype(float, copy=False)
-    p = p.astype(float, copy=False)
-
-    alpha = (lo - center) / sigma
-    beta = (hi - center) / sigma
-    mass = _interval_mass(alpha, beta)
-    _check_mass(mass, center, sigma, lo, hi)
+    _check_p(p)
+    w = _window(center, sigma, lo, hi)
+    _check_mass(w.mass, center, sigma, lo, hi)
+    if center.shape != p.shape:
+        # after the window, which depends on the center alone
+        center, p = np.broadcast_arrays(center, p)
 
     # Cumulative target measured from the lower tail and from the upper
-    # tail; exactly one of the two is <= 1/2 and is safe to invert.
-    lower_tail = _std_cdf(alpha) + p * mass
-    upper_tail = _std_cdf(-beta) + (1.0 - p) * mass
-    tiny = np.finfo(float).tiny
-    z = np.where(
-        lower_tail <= 0.5,
-        special.ndtri(np.maximum(lower_tail, tiny)),
-        -special.ndtri(np.maximum(upper_tail, tiny)),
-    )
-    x = center + sigma * z
+    # tail; exactly one of the two is <= 1/2 and is safe to invert.  Their
+    # offsets Phi(alpha) and Phi(-beta) are f_lo and Phi(-hi_r), in the
+    # order the reflection put them.
+    f_far = special.ndtr(-w.hi_r)
+    lower_tail = np.where(w.upper, f_far, w.f_lo) + p * w.mass
+    upper_tail = np.where(w.upper, w.f_lo, f_far) + (1.0 - p) * w.mass
+    from_below = lower_tail <= 0.5
+    z = special.ndtri(np.maximum(np.where(from_below, lower_tail, upper_tail), _TINY))
+    x = center + sigma * np.where(from_below, z, -z)
 
+    # A non-degenerate window keeps blo <= bhi, and every iterate lies in
+    # [blo, bhi] within [lo, hi].  So each bracket update moves an edge to
+    # x, and s lies in [alpha, beta] unclipped (a tie can differ from the
+    # clipped value only in the sign of a zero, which Phi and the density
+    # ignore).
     blo, bhi = _finite_bracket(center, sigma, lo, hi)
     x = np.clip(x, blo, bhi)
-    inv_norm = sigma * mass
+    inv_norm = sigma * w.mass
     for _ in range(_TRUNC_NEWTON_STEPS):
-        s = np.clip((x - center) / sigma, alpha, beta)
-        err = _interval_mass(alpha, s) / mass - p
-        bhi = np.where(err >= 0.0, np.minimum(bhi, x), bhi)
-        blo = np.where(err <= 0.0, np.maximum(blo, x), blo)
+        s = (x - center) / sigma
+        err = w.mass_to(s) / w.mass - p
+        bhi = np.where(err >= 0.0, x, bhi)
+        blo = np.where(err <= 0.0, x, blo)
         density = _std_pdf(s)
-        step = np.where(density > 0.0, err * inv_norm / np.maximum(density, tiny), 0.0)
+        step = np.where(density > 0.0, err * inv_norm / np.maximum(density, _TINY), 0.0)
         candidate = x - step
         # Closed-interval test: a converged iterate sits on the bracket
         # edge it just tightened, and must not be bisected away from it.
@@ -263,33 +301,37 @@ def _folded_quantile_core(center, sigma: float, p, hi=None):
     """
     center = np.asarray(center, dtype=float)
     p = np.asarray(p, dtype=float)
-    if np.any((p < 0.0) | (p > 1.0)):
-        raise ValueError("quantile argument must lie in [0, 1]")
-    if np.any(center < 0.0):
+    _check_p(p)
+    if (center < 0.0).any():
         raise ValueError("folded center must be >= 0")
-    center, p = np.broadcast_arrays(center, p)
-    center = center.astype(float, copy=False)
-    p = p.astype(float, copy=False)
+    if center.shape != p.shape:
+        center, p = np.broadcast_arrays(center, p)
 
-    tiny = np.finfo(float).tiny
     # 1 - F(x) <= 2 Phi(-(x-c)/sigma), so c + sigma * ndtri(1 - (1-p)/2)
     # always brackets the quantile from above.
-    z_hi = -special.ndtri(np.maximum(0.5 * (1.0 - p), tiny))
+    z_hi = -special.ndtri(np.maximum(0.5 * (1.0 - p), _TINY))
     bhi = center + sigma * np.maximum(z_hi, 0.0) + sigma
     if hi is not None:
         bhi = np.minimum(bhi, np.broadcast_to(np.asarray(hi, dtype=float), p.shape))
     blo = np.zeros_like(p)
 
     with np.errstate(invalid="ignore"):
-        z0 = special.ndtri(np.clip(p, tiny, 1.0 - 1e-16))
+        z0 = special.ndtri(np.clip(p, _TINY, 1.0 - 1e-16))
     x = np.clip(center + sigma * z0, blo, bhi)
 
+    # Every iterate lies in [blo, bhi], inside [+0, bhi] for a valid hi, so
+    # each bracket update moves an edge to x, _folded_cdf_core's clamp of x
+    # at 0 and its zero below 0 are identities, and the CDF cannot exceed 1;
+    # only its floor at 0 is kept.
     for _ in range(_FOLDED_NEWTON_STEPS):
-        err = _folded_cdf_core(center, sigma, x) - p
-        bhi = np.where(err >= 0.0, np.minimum(bhi, x), bhi)
-        blo = np.where(err <= 0.0, np.maximum(blo, x), blo)
-        density = _folded_pdf_core(center, sigma, x)
-        step = np.where(density > 0.0, err / np.maximum(density, tiny), 0.0)
+        z_minus = (x - center) / sigma
+        z_plus = (x + center) / sigma
+        cdf = np.maximum(special.ndtr(z_minus) - special.ndtr(-z_plus), 0.0)
+        err = cdf - p
+        bhi = np.where(err >= 0.0, x, bhi)
+        blo = np.where(err <= 0.0, x, blo)
+        density = (_std_pdf(z_minus) + _std_pdf(z_plus)) / sigma
+        step = np.where(density > 0.0, err / np.maximum(density, _TINY), 0.0)
         candidate = x - step
         inside = (candidate >= blo) & (candidate <= bhi)
         x = np.where(inside, candidate, 0.5 * (blo + bhi))

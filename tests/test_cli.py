@@ -5,6 +5,7 @@ import json
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -160,6 +161,26 @@ def test_sim_ensemble_planar_direction_stats(tmp_path, capsys):
     assert 0.0 < payload["terminal_u_mean"] < 1.0
 
 
+@pytest.mark.parametrize("process", ["x", "y", "yprime", "z", "w"])
+def test_sim_ensemble_without_steps_writes_strict_json(tmp_path, capsys, process):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, _ = run_cli(
+            ["sim", "--process", process, "--steps", "0", "--trajectories", "3",
+             "--out-dir", str(tmp_path)],
+            capsys,
+        )
+    assert code == 0
+
+    def reject(name):
+        raise ValueError(f"result.json holds {name}, which is not JSON")
+
+    payload = json.loads((tmp_path / "result.json").read_text(), parse_constant=reject)
+    assert payload["steps"] == 0
+    if process == "x":
+        assert payload["u_direction_fraction"] is None
+
+
 def test_sim_ensemble_rejects_xstar(tmp_path, capsys):
     code, _, err = run_cli(
         ["sim", "--process", "xstar", "--trajectories", "5",
@@ -293,6 +314,11 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         ["heatmap", "--n", "0"],
         ["dbar", "--s", "-1"],
         ["dbar", "--t", "-1"],
+        # a --start of the wrong form for its process or command
+        ["sim", "--process", "y", "--start", "0.1,0.2"],
+        ["sim", "--process", "x", "--start", "0.5"],
+        ["sim", "--process", "x", "--start", "0.1,v"],
+        ["mix", "--start", "0.5"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out-dir", str(tmp_path / "bad")])
@@ -302,6 +328,11 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     conf_path.write_text(json.dumps({"steps": -2}))
     with pytest.raises(SystemExit) as exc:
         main(["sim", "--config", str(conf_path), "--trajectories", "3",
+              "--out-dir", str(tmp_path / "bad")])
+    assert exc.value.code == 2
+    conf_path.write_text(json.dumps({"start": "0.5"}))
+    with pytest.raises(SystemExit) as exc:
+        main(["sim", "--config", str(conf_path), "--process", "x",
               "--out-dir", str(tmp_path / "bad")])
     assert exc.value.code == 2
     assert not (tmp_path / "bad").exists()

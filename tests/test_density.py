@@ -10,8 +10,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.stats import truncnorm
 
+from diagonal_gibbs import density
 from diagonal_gibbs import (
     DegenerateTruncationError,
     FoldedGaussian,
@@ -347,3 +349,221 @@ def test_tail_bound_monotone_and_validated():
         gaussian_tail_bound(0.0, params)
     with pytest.raises(ValueError):
         gaussian_tail_bound(-1.0, params)
+
+
+# ----------------------------------------------------------------------
+# bit-identity oracle: reference solvers that evaluate every branch
+# ----------------------------------------------------------------------
+#
+# The reference functions below evaluate both branches of every np.where
+# (Phi at each endpoint on both sides of the reflection, both tails of the
+# initial estimate) and the folded CDF and PDF separately.  The solvers,
+# which evaluate each tail once, must return the same bits.
+
+
+def _ref_interval_mass(alpha, beta):
+    return np.where(
+        alpha > 0.0,
+        special.ndtr(-alpha) - special.ndtr(-beta),
+        special.ndtr(beta) - special.ndtr(alpha),
+    )
+
+
+def _ref_std_pdf(z):
+    return np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+
+
+def _ref_check_mass(mass):
+    if np.any(mass < density.DEGENERATE_MASS):
+        raise DegenerateTruncationError("reference: degenerate window")
+
+
+def _ref_trunc_cdf(center, sigma, lo, hi, x):
+    center = np.asarray(center, dtype=float)
+    x = np.asarray(x, dtype=float)
+    alpha = (lo - center) / sigma
+    beta = (hi - center) / sigma
+    mass = _ref_interval_mass(alpha, beta)
+    _ref_check_mass(mass)
+    s = np.clip((x - center) / sigma, alpha, beta)
+    return np.clip(_ref_interval_mass(alpha, s) / mass, 0.0, 1.0)
+
+
+def _ref_trunc_quantile(center, sigma, lo, hi, p):
+    center, p = np.broadcast_arrays(np.asarray(center, dtype=float), np.asarray(p, dtype=float))
+    alpha = (lo - center) / sigma
+    beta = (hi - center) / sigma
+    mass = _ref_interval_mass(alpha, beta)
+    _ref_check_mass(mass)
+    lower_tail = special.ndtr(alpha) + p * mass
+    upper_tail = special.ndtr(-beta) + (1.0 - p) * mass
+    tiny = np.finfo(float).tiny
+    z = np.where(
+        lower_tail <= 0.5,
+        special.ndtri(np.maximum(lower_tail, tiny)),
+        -special.ndtri(np.maximum(upper_tail, tiny)),
+    )
+    blo = np.maximum(lo, center - density._Z_RANGE * sigma)
+    bhi = np.minimum(hi, center + density._Z_RANGE * sigma)
+    x = np.clip(center + sigma * z, blo, bhi)
+    inv_norm = sigma * mass
+    for _ in range(density._TRUNC_NEWTON_STEPS):
+        s = np.clip((x - center) / sigma, alpha, beta)
+        err = _ref_interval_mass(alpha, s) / mass - p
+        bhi = np.where(err >= 0.0, np.minimum(bhi, x), bhi)
+        blo = np.where(err <= 0.0, np.maximum(blo, x), blo)
+        dens = _ref_std_pdf(s)
+        step = np.where(dens > 0.0, err * inv_norm / np.maximum(dens, tiny), 0.0)
+        candidate = x - step
+        inside = (candidate >= blo) & (candidate <= bhi)
+        x = np.where(inside, candidate, 0.5 * (blo + bhi))
+    x = np.where(p == 0.0, lo, x)
+    return np.where(p == 1.0, hi, x)
+
+
+def _ref_folded_cdf(center, sigma, x):
+    xc = np.maximum(x, 0.0)
+    val = special.ndtr((xc - center) / sigma) - special.ndtr(-(xc + center) / sigma)
+    return np.clip(np.where(x < 0.0, 0.0, val), 0.0, 1.0)
+
+
+def _ref_folded_quantile(center, sigma, p, hi=None):
+    center, p = np.broadcast_arrays(np.asarray(center, dtype=float), np.asarray(p, dtype=float))
+    tiny = np.finfo(float).tiny
+    z_hi = -special.ndtri(np.maximum(0.5 * (1.0 - p), tiny))
+    bhi = center + sigma * np.maximum(z_hi, 0.0) + sigma
+    if hi is not None:
+        bhi = np.minimum(bhi, np.broadcast_to(np.asarray(hi, dtype=float), p.shape))
+    blo = np.zeros_like(p)
+    with np.errstate(invalid="ignore"):
+        z0 = special.ndtri(np.clip(p, tiny, 1.0 - 1e-16))
+    x = np.clip(center + sigma * z0, blo, bhi)
+    for _ in range(density._FOLDED_NEWTON_STEPS):
+        err = _ref_folded_cdf(center, sigma, x) - p
+        bhi = np.where(err >= 0.0, np.minimum(bhi, x), bhi)
+        blo = np.where(err <= 0.0, np.maximum(blo, x), blo)
+        dens = (_ref_std_pdf((x - center) / sigma) + _ref_std_pdf((x + center) / sigma)) / sigma
+        step = np.where(dens > 0.0, err / np.maximum(dens, tiny), 0.0)
+        candidate = x - step
+        inside = (candidate >= blo) & (candidate <= bhi)
+        x = np.where(inside, candidate, 0.5 * (blo + bhi))
+    return np.where(p == 0.0, 0.0, x)
+
+
+def _assert_same_bits(got, want):
+    got = np.asarray(got, dtype=float)
+    want = np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    differ = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+    assert differ.size == 0, f"{differ.size} values differ, first at {differ[:5]}"
+
+
+def _oracle_p(rng, n):
+    p = rng.random(n)
+    p[:4] = (0.0, 1.0, 2.0**-53, 1.0 - 2.0**-53)
+    return p
+
+
+# Windows [0, 1], [0, inf) and (-inf, b], plus centers that put the window
+# wholly above the center (reflected) or wholly below it.  Centers reach at
+# most 30 sigma past an edge, so every window keeps its mass.
+_ORACLE_WINDOWS = [(0.0, 1.0), (0.0, math.inf), (-math.inf, 0.6), (0.2, 0.7)]
+
+
+@pytest.mark.parametrize("a", [1.0, 10.0, 250.0])
+@pytest.mark.parametrize("lo, hi", _ORACLE_WINDOWS)
+def test_truncated_solvers_match_both_branch_reference(a, lo, hi):
+    rng = np.random.default_rng([int(a), _ORACLE_WINDOWS.index((lo, hi))])
+    sigma = ModelParams(a).sigma
+    reach = 30.0 * sigma
+    left = (lo if math.isfinite(lo) else hi - 1.0) - reach
+    right = (hi if math.isfinite(hi) else lo + 1.0) + reach
+    n = 4096
+    centers = rng.uniform(left, right, n)
+    # the extremes, the middle, and each finite edge (alpha or beta = 0)
+    edges = [c for c in (lo, hi) if math.isfinite(c)]
+    centers[:3 + len(edges)] = [left, right, 0.5 * (left + right), *edges]
+    p = _oracle_p(rng, n)
+    assert np.any((lo - centers) / sigma > 0.0) or not math.isfinite(lo)
+    _assert_same_bits(density._trunc_quantile_core(centers, sigma, lo, hi, p),
+                      _ref_trunc_quantile(centers, sigma, lo, hi, p))
+    x = rng.uniform(left - reach, right + reach, n)
+    _assert_same_bits(density._trunc_cdf_core(centers, sigma, lo, hi, x),
+                      _ref_trunc_cdf(centers, sigma, lo, hi, x))
+    # one center against many p (evaluated before broadcasting), and 0-d
+    for center in centers[:3 + len(edges)]:
+        _assert_same_bits(density._trunc_quantile_core(center, sigma, lo, hi, p),
+                          _ref_trunc_quantile(center, sigma, lo, hi, p))
+        _assert_same_bits(density._trunc_cdf_core(center, sigma, lo, hi, x),
+                          _ref_trunc_cdf(center, sigma, lo, hi, x))
+        for q in p[:5]:
+            _assert_same_bits(density._trunc_quantile_core(center, sigma, lo, hi, q),
+                              _ref_trunc_quantile(center, sigma, lo, hi, q))
+
+
+@pytest.mark.parametrize("a", [1.0, 10.0, 250.0])
+def test_folded_solver_matches_reference(a):
+    rng = np.random.default_rng(int(a) + 17)
+    sigma = ModelParams(a).sigma
+    n = 4096
+    centers = np.abs(rng.normal(0.0, 5.0 * sigma, n)) * rng.choice([0.0, 1.0, 4.0], n)
+    p = _oracle_p(rng, n)
+    _assert_same_bits(density._folded_quantile_core(centers, sigma, p),
+                      _ref_folded_quantile(centers, sigma, p))
+    # the monotone coupling's cap: the half-line draw from the same uniform
+    upper = density._trunc_quantile_core(centers, sigma, 0.0, math.inf, p)
+    _assert_same_bits(density._folded_quantile_core(centers, sigma, p, hi=upper),
+                      _ref_folded_quantile(centers, sigma, p, hi=upper))
+    for center in (0.0, 2.0 * sigma):
+        _assert_same_bits(density._folded_quantile_core(center, sigma, p),
+                          _ref_folded_quantile(center, sigma, p))
+        _assert_same_bits(density._folded_quantile_core(center, sigma, p[7]),
+                          _ref_folded_quantile(center, sigma, p[7]))
+
+
+@pytest.mark.parametrize("lo, hi", _ORACLE_WINDOWS)
+def test_degenerate_windows_raise_like_reference(lo, hi):
+    sigma = ModelParams(250.0).sigma
+    # 40 sigma outside the window, on each finite side
+    centers = [c for c in (lo - 40.0 * sigma, hi + 40.0 * sigma) if math.isfinite(c)]
+    for center in centers:
+        for call in (
+            lambda: density._trunc_quantile_core(np.array([0.5, center]), sigma, lo, hi, 0.3),
+            lambda: density._trunc_cdf_core(center, sigma, lo, hi, 0.5),
+            lambda: _ref_trunc_quantile(np.array([0.5, center]), sigma, lo, hi, 0.3),
+            lambda: _ref_trunc_cdf(center, sigma, lo, hi, 0.5),
+            lambda: TruncatedGaussian(center, sigma * sigma, lo, hi),
+        ):
+            with pytest.raises(DegenerateTruncationError):
+                call()
+
+
+class _CountingSpecial:
+    """Stands in for scipy.special and counts the elements passed to each function."""
+
+    def __init__(self):
+        self.elements = {}
+
+    def __getattr__(self, name):
+        fn = getattr(special, name)
+
+        def counted(x, *args, **kwargs):
+            self.elements[name] = self.elements.get(name, 0) + np.size(x)
+            return fn(x, *args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.parametrize("center_lo, center_hi", [(0.0, 1.0), (-0.2, -0.05), (1.05, 1.2)])
+def test_truncated_quantile_evaluates_each_tail_once(monkeypatch, center_lo, center_hi):
+    # Phi at each reflected endpoint, at the far tail, and once per Newton
+    # step; one inverse.  Evaluating both branches of a selection would
+    # exceed this.
+    counting = _CountingSpecial()
+    monkeypatch.setattr(density, "special", counting)
+    n = 1000
+    rng = np.random.default_rng(8)
+    centers = rng.uniform(center_lo, center_hi, n)
+    density._trunc_quantile_core(centers, ModelParams(10.0).sigma, 0.0, 1.0, rng.random(n))
+    assert counting.elements["ndtr"] <= (3 + density._TRUNC_NEWTON_STEPS) * n
+    assert counting.elements["ndtri"] <= n
