@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -40,6 +41,7 @@ from .coupling import couple_z_yprime, verify_dominance_inequality
 from .density import ModelParams
 from .grid import (
     CORNER_BOXES,
+    DBAR_MAX_N,
     MixingNotConverged,
     build_discretized_target,
     evolve_2d,
@@ -64,108 +66,140 @@ _PROCESS_RUNNERS = {
     "w": run_w,
 }
 
+_PROCESS_NAMES = ", ".join(sorted(_PROCESS_RUNNERS))
 _PLANAR = ("x", "xstar")
-
-# Per-subcommand defaults, applied after any --config file so that explicit
-# command-line flags always win over both.
-_DEFAULTS = {
-    "sim": {
-        "a": 10.0,
-        "delta": 0.05,
-        "steps": 1000,
-        "seed": 0,
-        "trajectories": 1,
-        "threads": 1,
-        "start": None,
-        "process": "x",
-    },
-    "evolve": {
-        "a": 10.0,
-        "delta": 0.05,
-        "n": 500,
-        "steps": 100,
-        "start": "0,0",
-        "pgm": None,
-    },
-    "mix": {
-        "a": 10.0,
-        "delta": 0.05,
-        "n": 500,
-        "eps": 0.25,
-        "start": "0,0",
-        "max_steps": 1_000_000,
-    },
-    "verify": {
-        "a": 10.0,
-        "delta": 0.05,
-        "n": 500,
-        "n_pairs": 100,
-        "seed": 0,
-        "trajectories": 2000,
-        "steps": 400,
-        "threads": 1,
-        "grid": 200,
-    },
-    "constants": {"alpha": 0.10, "delta": 0.0, "eps_slack": 0.0},
-    "heatmap": {
-        "a": 10.0,
-        "delta": 0.05,
-        "n": 500,
-        "steps": None,
-        "start": "0,0",
-        "out": "target.pgm",
-    },
-    "dbar": {"a": 10.0, "delta": 0.05, "n": 100, "s": 50, "t": 50},
-}
+_HALF_LINE = ("yprime", "z")
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
-    return value
-
-
-def _count_at_least(least: int):
-    """argparse type for an integer count no smaller than ``least``."""
+def _count_in(least: int, most: float = math.inf):
+    """argparse type for an integer count in [least, most]."""
 
     # argparse reports a non-integer as "invalid integer value", by this name
     def integer(text: str) -> int:
         value = int(text)
         if value < least:
             raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        if value > most:
+            raise argparse.ArgumentTypeError(f"must be <= {most}, got {value}")
         return value
 
     return integer
 
 
-_NONNEGATIVE = _count_at_least(0)
-_POSITIVE = _count_at_least(1)
-_AT_LEAST_2 = _count_at_least(2)
+_NONNEGATIVE = _count_in(0)
+_POSITIVE = _count_in(1)
+_AT_LEAST_2 = _count_in(2)
+_PAIR_GRID = _count_in(2, DBAR_MAX_N)
 
 
-def _parse_start(conf: dict, command: str):
-    """The --start value for ``command``: one number for the one-dimensional
-    sim processes, a 'u,v' pair otherwise; None (sim's default) stays None.
+def _open_unit(text: str) -> float:
+    """argparse type for a number strictly between 0 and 1."""
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text}")
+    return value
 
-    A malformed value raises ArgumentTypeError, which ``main`` reports as a
-    usage error before anything is written.
+
+def _process(text: str) -> str:
+    if text not in _PROCESS_RUNNERS:
+        raise argparse.ArgumentTypeError(f"must be one of {_PROCESS_NAMES}, got {text!r}")
+    return text
+
+
+# Each subcommand's flags as (name, type, default, help): the one place a flag
+# is declared.  The type parses the flag and its --config entry alike; the
+# model values a, delta and alpha are checked by ModelParams and
+# ConstantsConfig, before anything is written.
+_A = ("a", float, 10.0, None)
+_DELTA = ("delta", float, 0.05, None)
+_FLAGS = {
+    "sim": (
+        ("process", _process, "x", f"one of {_PROCESS_NAMES}"),
+        _A,
+        _DELTA,
+        ("steps", _NONNEGATIVE, 1000, None),
+        ("seed", _NONNEGATIVE, 0, None),
+        ("trajectories", _POSITIVE, 1, None),
+        ("threads", _POSITIVE, 1, None),
+        ("start", str, None, "scalar for y/yprime/z/w, 'u,v' for x/xstar"),
+    ),
+    "evolve": (
+        _A,
+        _DELTA,
+        ("n", _AT_LEAST_2, 500, None),
+        ("steps", _NONNEGATIVE, 100, None),
+        ("start", str, "0,0", "'u,v' starting point"),
+        ("pgm", str, None, "also export the evolved distribution as a PGM heatmap"),
+    ),
+    "mix": (
+        _A,
+        _DELTA,
+        ("n", _AT_LEAST_2, 500, None),
+        ("eps", _open_unit, 0.25, "TV threshold in (0, 1)"),
+        ("start", str, "0,0", "'u,v' starting point"),
+        ("max_steps", _NONNEGATIVE, 1_000_000, None),
+    ),
+    "verify": (
+        _A,
+        _DELTA,
+        ("n", _AT_LEAST_2, 500, "grid for the stationarity check"),
+        ("n_pairs", _PAIR_GRID, 100, "grid for d/dbar checks"),
+        ("seed", _NONNEGATIVE, 0, None),
+        ("trajectories", _POSITIVE, 2000, "coupled trajectories for the ordering check"),
+        ("steps", _NONNEGATIVE, 400, "steps per coupled trajectory"),
+        ("threads", _POSITIVE, 1, None),
+        ("grid", _AT_LEAST_2, 200, "points per axis in the dominance sweep"),
+    ),
+    "constants": (
+        ("alpha", float, 0.10, None),
+        ("delta", float, 0.0, None),
+        ("eps_slack", float, 0.0, None),
+    ),
+    "heatmap": (
+        _A,
+        _DELTA,
+        ("n", _AT_LEAST_2, 500, None),
+        ("steps", _NONNEGATIVE, None, "evolve a point mass this many steps; omit for the target"),
+        ("start", str, "0,0", "'u,v' starting point when --steps is given"),
+        ("out", str, "target.pgm", "output PGM filename (within --out-dir)"),
+    ),
+    "dbar": (
+        _A,
+        _DELTA,
+        ("n", _PAIR_GRID, 100, None),
+        ("s", _NONNEGATIVE, 50, None),
+        ("t", _NONNEGATIVE, 50, None),
+    ),
+}
+
+
+def _parse_start(conf: dict):
+    """The --start value as numbers: one for the one-dimensional sim
+    processes, a (u, v) pair otherwise; None for a command without --start.
+
+    sim's default is the middle of the line or the square.  Each coordinate
+    lies in [0, 1], or in [0, inf) for the half-line processes.  A bad value
+    raises ArgumentTypeError, which ``main`` reports as a usage error before
+    anything is written.
     """
-    text = conf.get("start")
-    if text is None:
+    if "start" not in conf:
         return None
-    text = str(text)
-    scalar = command == "sim" and conf["process"] not in _PLANAR
-    parts = text.split(",")
+    process = conf.get("process", "x")  # only sim has a process
+    scalar = process not in _PLANAR
+    text = conf["start"]
+    if text is None:
+        return 0.5 if scalar else (0.5, 0.5)
     try:
-        if scalar:
-            return float(text)
-        if len(parts) == 2:
-            return float(parts[0]), float(parts[1])
+        values = [float(part) for part in str(text).split(",")]
     except ValueError:
-        pass
-    expected = "one number" if scalar else "'u,v'"
-    raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        values = []
+    if len(values) != (1 if scalar else 2):
+        expected = "one number" if scalar else "'u,v'"
+        raise argparse.ArgumentTypeError(f"argument --start: expected {expected}, got {text!r}")
+    upper, interval = (math.inf, "[0, inf)") if process in _HALF_LINE else (1.0, "[0, 1]")
+    if not all(math.isfinite(x) and 0.0 <= x <= upper for x in values):
+        raise argparse.ArgumentTypeError(f"argument --start: {text!r} lies outside {interval}")
+    return values[0] if scalar else tuple(values)
 
 
 def _progress(message: str) -> None:
@@ -190,98 +224,46 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, handler in _COMMANDS.items():
+        p = sub.add_parser(command, help=handler.__doc__)
         p.add_argument("--config", help="JSON file with flag defaults; explicit flags win")
         p.add_argument("--out-dir", dest="out_dir", help=f"output directory (default ${OUT_DIR_ENV} or '.')")
-
-    p = sub.add_parser("sim", help="simulate one trajectory or an ensemble of a named process")
-    common(p)
-    p.add_argument("--process", choices=sorted(_PROCESS_RUNNERS))
-    p.add_argument("--a", type=_positive_float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--steps", type=_NONNEGATIVE)
-    p.add_argument("--seed", type=_NONNEGATIVE)
-    p.add_argument("--trajectories", type=_POSITIVE)
-    p.add_argument("--threads", type=_POSITIVE)
-    p.add_argument("--start", help="scalar for y/yprime/z/w, 'u,v' for x/xstar")
-
-    p = sub.add_parser("evolve", help="evolve a point mass under the exact grid operator")
-    common(p)
-    p.add_argument("--a", type=_positive_float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--n", type=_AT_LEAST_2)
-    p.add_argument("--steps", type=_NONNEGATIVE)
-    p.add_argument("--start", help="'u,v' starting point")
-    p.add_argument("--pgm", help="also export the evolved distribution as a PGM heatmap")
-
-    p = sub.add_parser("mix", help="first time the evolved distribution is within eps of the target")
-    common(p)
-    p.add_argument("--a", type=_positive_float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--n", type=_AT_LEAST_2)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--start", help="'u,v' starting point")
-    p.add_argument("--max-steps", dest="max_steps", type=_NONNEGATIVE)
-
-    p = sub.add_parser("verify", help="run the inequality and invariance suite; nonzero exit on violation")
-    common(p)
-    p.add_argument("--a", type=_positive_float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--n", type=_AT_LEAST_2, help="grid for the stationarity check")
-    p.add_argument("--n-pairs", dest="n_pairs", type=_AT_LEAST_2, help="grid for d/dbar checks")
-    p.add_argument("--seed", type=_NONNEGATIVE)
-    p.add_argument("--trajectories", type=_POSITIVE, help="coupled trajectories for the ordering check")
-    p.add_argument("--steps", type=_NONNEGATIVE, help="steps per coupled trajectory")
-    p.add_argument("--threads", type=_POSITIVE)
-    p.add_argument("--grid", type=_AT_LEAST_2, help="points per axis in the dominance sweep")
-
-    p = sub.add_parser("constants", help="closed-form constants report")
-    common(p)
-    p.add_argument("--alpha", type=_positive_float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--eps-slack", dest="eps_slack", type=float)
-
-    p = sub.add_parser("heatmap", help="export the target (or an evolved state) as 16-bit PGM")
-    common(p)
-    p.add_argument("--a", type=_positive_float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--n", type=_AT_LEAST_2)
-    p.add_argument("--steps", type=_NONNEGATIVE, help="evolve a point mass this many steps; omit for the target")
-    p.add_argument("--start", help="'u,v' starting point when --steps is given")
-    p.add_argument("--out", help="output PGM filename (within --out-dir)")
-
-    p = sub.add_parser("dbar", help="worst-case pair distances and the submultiplicativity check")
-    common(p)
-    p.add_argument("--a", type=_positive_float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--n", type=_AT_LEAST_2)
-    p.add_argument("--s", type=_NONNEGATIVE)
-    p.add_argument("--t", type=_NONNEGATIVE)
-
+        for name, kind, _, text in _FLAGS[command]:
+            p.add_argument("--" + name.replace("_", "-"), type=kind, help=text)
     return parser
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
-    """Merge explicit flags over --config file entries over built-in defaults.
+    """Merge explicit flags over --config file entries over the table's defaults.
 
-    File entries are parsed as the flags they name, so they pass the same
-    checks; a bad one is a usage error (exit 2).
+    A file entry is parsed by its flag's type, so it passes the same checks;
+    a null entry keeps the default.  A bad value, or a key that names no flag
+    of the subcommand, raises ArgumentTypeError (a usage error in ``main``).
     """
-    resolved = dict(_DEFAULTS[args.command])
+    kinds = {name: kind for name, kind, _, _ in _FLAGS[args.command]}
+    resolved = {name: default for name, _, default, _ in _FLAGS[args.command]}
     if args.config:
         with open(args.config) as fh:
-            file_conf = {key.replace("-", "_"): value for key, value in json.load(fh).items()}
-        keys = [key for key in resolved if file_conf.get(key) is not None]
-        flags = [f"--{key.replace('_', '-')}={file_conf[key]}" for key in keys]
-        file_args = build_parser().parse_args([args.command, *flags])
-        resolved.update((key, getattr(file_args, key)) for key in keys)
-    for key in resolved:
-        cli_value = getattr(args, key, None)
+            file_conf = json.load(fh)
+        if not isinstance(file_conf, dict):
+            raise argparse.ArgumentTypeError(f"--config {args.config}: expected a JSON object")
+        for key, value in file_conf.items():
+            name = key.replace("-", "_")
+            if name not in kinds:
+                raise argparse.ArgumentTypeError(
+                    f"--config {args.config}: {key!r} is not a flag of {args.command}"
+                )
+            if value is not None:
+                try:
+                    resolved[name] = kinds[name](str(value))
+                except (ValueError, argparse.ArgumentTypeError) as exc:
+                    message = f"--config {args.config}: {key}: {exc}"
+                    raise argparse.ArgumentTypeError(message) from None
+    for name in resolved:
+        cli_value = getattr(args, name)
         if cli_value is not None:
-            resolved[key] = cli_value
-    out_dir = args.out_dir or os.environ.get(OUT_DIR_ENV) or "."
-    resolved["out_dir"] = out_dir
+            resolved[name] = cli_value
+    resolved["out_dir"] = args.out_dir or os.environ.get(OUT_DIR_ENV) or "."
     return resolved
 
 
@@ -294,15 +276,11 @@ def _write_manifest(conf: dict, command: str) -> str:
     return out_dir
 
 
-def _cmd_sim(conf: dict) -> int:
+def _cmd_sim(conf: dict, params: ModelParams, start) -> int:
+    """simulate one trajectory or an ensemble of a named process"""
     process = conf["process"]
-    params = ModelParams(conf["a"], conf["delta"])
     out_dir = conf["out_dir"]
     steps, seed, trajectories = conf["steps"], conf["seed"], conf["trajectories"]
-
-    start = _parse_start(conf, "sim")
-    if start is None:
-        start = (0.5, 0.5) if process in _PLANAR else 0.5
 
     if trajectories > 1 and process == "xstar":
         print("ensemble mode supports x, y, yprime, z, w", file=sys.stderr)
@@ -380,10 +358,10 @@ def _run_ensemble(process, start, steps, params, seed, trajectories, threads) ->
     return base
 
 
-def _cmd_evolve(conf: dict) -> int:
-    params = ModelParams(conf["a"], conf["delta"])
+def _cmd_evolve(conf: dict, params: ModelParams, start) -> int:
+    """evolve a point mass under the exact grid operator"""
     n, steps = conf["n"], conf["steps"]
-    u0, v0 = _parse_start(conf, "evolve")
+    u0, v0 = start
     out_dir = conf["out_dir"]
 
     _progress(f"evolving point mass at ({u0}, {v0}) for {steps} steps on the {n}x{n} grid")
@@ -408,16 +386,15 @@ def _cmd_evolve(conf: dict) -> int:
     return 0
 
 
-def _cmd_mix(conf: dict) -> int:
-    params = ModelParams(conf["a"], conf["delta"])
+def _cmd_mix(conf: dict, params: ModelParams, start) -> int:
+    """first time the evolved distribution is within eps of the target"""
     n = conf["n"]
-    u0, v0 = _parse_start(conf, "mix")
     out_dir = conf["out_dir"]
 
     _progress(f"searching mixing time at a={params.a}, n={n}, eps={conf['eps']}")
     t0 = time.time()
     try:
-        result = find_mixing_time((u0, v0), conf["eps"], params, n, conf["max_steps"])
+        result = find_mixing_time(start, conf["eps"], params, n, conf["max_steps"])
     except MixingNotConverged as exc:
         diag_path = os.path.join(out_dir, "diagnostics.json")
         curve = exc.tv_curve
@@ -443,8 +420,27 @@ def _cmd_mix(conf: dict) -> int:
     return 0
 
 
-def _cmd_verify(conf: dict) -> int:
-    params = ModelParams(conf["a"], conf["delta"])
+def _distance_checks(s: int, t: int, params: ModelParams, n: int) -> dict:
+    """d and dbar at s and t, the sandwich d <= dbar <= 2 d at both, and the
+    submultiplicativity dbar(s + t) <= dbar(s) dbar(t)."""
+    dbar_s, dbar_t, dbar_st = worst_case_distance_dbar(s, t, params, n)
+    d = {u: worst_case_distance_d(u, params, n) for u in {s, t}}
+    return {
+        "d_s": d[s],
+        "d_t": d[t],
+        "dbar_s": dbar_s,
+        "dbar_t": dbar_t,
+        "dbar_s_plus_t": dbar_st,
+        "submultiplicative": bool(dbar_st <= dbar_s * dbar_t * (1.0 + 1e-9)),
+        "sandwich_ok": all(
+            d[u] <= dbar_u + 1e-12 and dbar_u <= 2.0 * d[u] + 1e-12
+            for u, dbar_u in ((s, dbar_s), (t, dbar_t))
+        ),
+    }
+
+
+def _cmd_verify(conf: dict, params: ModelParams, _start) -> int:
+    """run the inequality and invariance suite; nonzero exit on violation"""
     out_dir = conf["out_dir"]
     checks = {}
 
@@ -472,20 +468,13 @@ def _cmd_verify(conf: dict) -> int:
     checks["stationarity_tv"] = {"value": drift, "passed": bool(drift < 1e-12)}
 
     _progress("distance sandwich and submultiplicativity")
-    n_pairs = conf["n_pairs"]
-    s = t = 50
-    d_t = worst_case_distance_d(t, params, n_pairs)
-    dbar_s, dbar_t, dbar_st = worst_case_distance_dbar(s, t, params, n_pairs)
-    checks["sandwich"] = {
-        "d": d_t,
-        "dbar": dbar_t,
-        "passed": bool(d_t <= dbar_t + 1e-12 and dbar_t <= 2.0 * d_t + 1e-12),
-    }
+    dist = _distance_checks(50, 50, params, conf["n_pairs"])
+    checks["sandwich"] = {"d": dist["d_t"], "dbar": dist["dbar_t"], "passed": dist["sandwich_ok"]}
     checks["submultiplicative"] = {
-        "dbar_s": dbar_s,
-        "dbar_t": dbar_t,
-        "dbar_s_plus_t": dbar_st,
-        "passed": bool(dbar_st <= dbar_s * dbar_t * (1.0 + 1e-9)),
+        "dbar_s": dist["dbar_s"],
+        "dbar_t": dist["dbar_t"],
+        "dbar_s_plus_t": dist["dbar_s_plus_t"],
+        "passed": dist["submultiplicative"],
     }
 
     all_passed = all(entry["passed"] for entry in checks.values())
@@ -500,16 +489,16 @@ def _cmd_verify(conf: dict) -> int:
     return 0 if all_passed else 1
 
 
-def _cmd_constants(conf: dict) -> int:
-    config = ConstantsConfig(conf["alpha"], conf["delta"], conf["eps_slack"])
+def _cmd_constants(conf: dict, config: ConstantsConfig, _start) -> int:
+    """closed-form constants report"""
     payload = constants_report(config)
     _write_json(os.path.join(conf["out_dir"], "result.json"), payload)
     _emit(payload)
     return 0
 
 
-def _cmd_heatmap(conf: dict) -> int:
-    params = ModelParams(conf["a"], conf["delta"])
+def _cmd_heatmap(conf: dict, params: ModelParams, start) -> int:
+    """export the target (or an evolved state) as 16-bit PGM"""
     n = conf["n"]
     out_dir = conf["out_dir"]
     if conf["steps"] is None:
@@ -517,7 +506,7 @@ def _cmd_heatmap(conf: dict) -> int:
         dist = build_discretized_target(params, n)
         steps = None
     else:
-        u0, v0 = _parse_start(conf, "heatmap")
+        u0, v0 = start
         steps = conf["steps"]
         _progress(f"evolving ({u0}, {v0}) for {steps} steps before export")
         dist = evolve_2d(point_mass(u0, v0, n), steps, params)
@@ -529,36 +518,17 @@ def _cmd_heatmap(conf: dict) -> int:
     return 0
 
 
-def _cmd_dbar(conf: dict) -> int:
-    params = ModelParams(conf["a"], conf["delta"])
+def _cmd_dbar(conf: dict, params: ModelParams, _start) -> int:
+    """worst-case pair distances and the submultiplicativity check"""
     n, s, t = conf["n"], conf["s"], conf["t"]
     _progress(f"computing worst-case pair distances at a={params.a}, n={n}")
-    dbar_s, dbar_t, dbar_st = worst_case_distance_dbar(s, t, params, n)
-    d_s = worst_case_distance_d(s, params, n)
-    d_t = worst_case_distance_d(t, params, n)
-    payload = {
-        "a": params.a,
-        "n": n,
-        "s": s,
-        "t": t,
-        "d_s": d_s,
-        "d_t": d_t,
-        "dbar_s": dbar_s,
-        "dbar_t": dbar_t,
-        "dbar_s_plus_t": dbar_st,
-        "submultiplicative": bool(dbar_st <= dbar_s * dbar_t * (1.0 + 1e-9)),
-        "sandwich_ok": bool(
-            d_s <= dbar_s + 1e-12
-            and dbar_s <= 2.0 * d_s + 1e-12
-            and d_t <= dbar_t + 1e-12
-            and dbar_t <= 2.0 * d_t + 1e-12
-        ),
-    }
+    payload = {"a": params.a, "n": n, "s": s, "t": t, **_distance_checks(s, t, params, n)}
     _write_json(os.path.join(conf["out_dir"], "result.json"), payload)
     _emit(payload)
     return 0
 
 
+# subcommand -> handler; each handler's docstring is its --help line
 _COMMANDS = {
     "sim": _cmd_sim,
     "evolve": _cmd_evolve,
@@ -573,13 +543,18 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    conf = resolve_config(args)
+    # every input is checked here, before the manifest is written
     try:
-        _parse_start(conf, args.command)
-    except argparse.ArgumentTypeError as exc:
-        parser.error(f"argument --start: {exc}")
+        conf = resolve_config(args)
+        if args.command == "constants":
+            model = ConstantsConfig(conf["alpha"], conf["delta"], conf["eps_slack"])
+        else:
+            model = ModelParams(conf["a"], conf["delta"])
+        start = _parse_start(conf)
+    except (OSError, ValueError, argparse.ArgumentTypeError) as exc:
+        parser.error(str(exc))
     _write_manifest(conf, args.command)
-    return _COMMANDS[args.command](conf)
+    return _COMMANDS[args.command](conf, model, start)
 
 
 if __name__ == "__main__":

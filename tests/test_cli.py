@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from diagonal_gibbs.cli import OUT_DIR_ENV, main
+from diagonal_gibbs.cli import OUT_DIR_ENV, build_parser, main, resolve_config
 from diagonal_gibbs.version import __version__
 
 
@@ -288,6 +288,43 @@ def test_out_dir_env_var(tmp_path, capsys, monkeypatch):
     assert read_json(tmp_path / "manifest.json")["config"]["out_dir"] == str(tmp_path)
 
 
+# resolved configuration of a default run, recorded before the flag table
+_DEFAULT_CONFIGS = {
+    "sim": {"a": 10.0, "delta": 0.05, "process": "x", "seed": 0, "start": None,
+            "steps": 1000, "threads": 1, "trajectories": 1},
+    "evolve": {"a": 10.0, "delta": 0.05, "n": 500, "pgm": None, "start": "0,0",
+               "steps": 100},
+    "mix": {"a": 10.0, "delta": 0.05, "eps": 0.25, "max_steps": 1000000, "n": 500,
+            "start": "0,0"},
+    "verify": {"a": 10.0, "delta": 0.05, "grid": 200, "n": 500, "n_pairs": 100,
+               "seed": 0, "steps": 400, "threads": 1, "trajectories": 2000},
+    "constants": {"alpha": 0.1, "delta": 0.0, "eps_slack": 0.0},
+    "heatmap": {"a": 10.0, "delta": 0.05, "n": 500, "out": "target.pgm",
+                "start": "0,0", "steps": None},
+    "dbar": {"a": 10.0, "delta": 0.05, "n": 100, "s": 50, "t": 50},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_DEFAULT_CONFIGS))
+def test_default_config_resolves_unchanged(command):
+    resolved = resolve_config(build_parser().parse_args([command, "--out-dir", "out"]))
+    expected = {**_DEFAULT_CONFIGS[command], "out_dir": "out"}
+    # compared as the manifest writes them, where 10 and 10.0 differ
+    assert json.dumps(resolved, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+@pytest.mark.parametrize("process", ["yprime", "z"])
+def test_sim_half_line_start_beyond_one(tmp_path, capsys, process):
+    code, out, _ = run_cli(
+        ["sim", "--process", process, "--start", "3", "--steps", "20",
+         "--out-dir", str(tmp_path)],
+        capsys,
+    )
+    assert code == 0
+    assert json.loads(out)["steps"] == 20
+    assert (tmp_path / "trajectory.csv").read_text().splitlines()[1].startswith("0,3")
+
+
 def test_usage_errors_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["mix", "--a", "-4", "--out-dir", str(tmp_path)])
@@ -319,6 +356,27 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         ["sim", "--process", "x", "--start", "0.5"],
         ["sim", "--process", "x", "--start", "0.1,v"],
         ["mix", "--start", "0.5"],
+        # a --start of the right form outside its process's range
+        ["sim", "--process", "x", "--start", "2,3"],
+        ["sim", "--process", "xstar", "--start", "0.5,1.5"],
+        ["sim", "--process", "y", "--start", "1.5"],
+        ["sim", "--process", "w", "--start=-0.5"],
+        ["sim", "--process", "yprime", "--start=-1"],
+        ["sim", "--process", "z", "--start", "inf"],
+        ["sim", "--process", "z", "--start", "nan"],
+        ["mix", "--start", "2,3"],
+        ["evolve", "--start=-1,0"],
+        ["heatmap", "--steps", "1", "--start", "0,1.5"],
+        # model values and other inputs out of range
+        ["sim", "--delta", "2"],
+        ["sim", "--a", "inf"],
+        ["constants", "--delta", "-1"],
+        ["constants", "--eps-slack", "-5"],
+        ["mix", "--eps", "0"],
+        ["mix", "--eps", "1.5"],
+        ["dbar", "--n", "300"],
+        ["verify", "--n-pairs", "300"],
+        ["sim", "--config", str(tmp_path / "missing.json")],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out-dir", str(tmp_path / "bad")])
@@ -335,6 +393,12 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         main(["sim", "--config", str(conf_path), "--process", "x",
               "--out-dir", str(tmp_path / "bad")])
     assert exc.value.code == 2
+    # a --config key that names no flag of the subcommand, or no JSON object
+    for content in ({"stepz": 5, "a": 12}, [1, 2]):
+        conf_path.write_text(json.dumps(content))
+        with pytest.raises(SystemExit) as exc:
+            main(["sim", "--config", str(conf_path), "--out-dir", str(tmp_path / "bad")])
+        assert exc.value.code == 2, content
     assert not (tmp_path / "bad").exists()
     capsys.readouterr()
 
