@@ -282,10 +282,6 @@ def _cmd_sim(conf: dict, params: ModelParams, start) -> int:
     out_dir = conf["out_dir"]
     steps, seed, trajectories = conf["steps"], conf["seed"], conf["trajectories"]
 
-    if trajectories > 1 and process == "xstar":
-        print("ensemble mode supports x, y, yprime, z, w", file=sys.stderr)
-        return 2
-
     if trajectories <= 1:
         _progress(f"simulating {process} for {steps} steps")
         record = _PROCESS_RUNNERS[process](start, steps, params, seed)
@@ -551,6 +547,10 @@ def main(argv=None) -> int:
         else:
             model = ModelParams(conf["a"], conf["delta"])
         start = _parse_start(conf)
+        if conf.get("process") == "xstar" and conf["trajectories"] > 1:
+            raise argparse.ArgumentTypeError(
+                "argument --trajectories: ensemble mode supports x, y, yprime, z, w"
+            )
     except (OSError, ValueError, argparse.ArgumentTypeError) as exc:
         parser.error(str(exc))
     _write_manifest(conf, args.command)

@@ -34,8 +34,8 @@ class ConstantsConfig:
             raise ValueError(f"alpha must be positive, got {self.alpha!r}")
         if not (0.0 <= self.delta <= 0.5):
             raise ValueError(f"delta must lie in [0, 1/2], got {self.delta!r}")
-        if not (self.epsilon_slack >= 0.0):
-            raise ValueError(f"epsilon_slack must be >= 0, got {self.epsilon_slack!r}")
+        if not (self.epsilon_slack >= 0.0 and math.isfinite(self.epsilon_slack)):
+            raise ValueError(f"epsilon_slack must be finite and >= 0, got {self.epsilon_slack!r}")
 
 
 def erdos_kac_cdf(alpha: float) -> float:

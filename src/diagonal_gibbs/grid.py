@@ -24,9 +24,12 @@ which depends on p only through r and c.  The state is therefore the pair
 (r, c), with r' = (r + J y) / 2 and c' = (c + J x) / 2, and the TV distance
 of p' to the target is 1/2 sum_ij J_ij |(x_i + y_j) / 2 - 1|.  Evolution
 costs one n x n by n x 2 product plus that TV sum per step, and the n x n
-law is formed only when a caller asks for it.  Renormalizing divides (r, c)
-by their mass, sum(r + c) / 2, before the step, which is the same as
-dividing the law after it.
+law is formed only when a caller asks for it.  Every step renormalizes: it
+divides (r, c) by their mass, sum(r + c) / 2, before the step, which is the
+same as dividing the law after it, so roundoff never accumulates in the mass.
+
+The worst-case distances d and dbar act on the 1-D kernel K alone and take
+its powers K^t by repeated squaring (``np.linalg.matrix_power``).
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ class MixingNotConverged(RuntimeError):
 
 @dataclass
 class GridDistribution:
-    """Probability weights over the n x n (or length-n) cell grid."""
+    """Probability weights over the n x n cell grid."""
 
     n: int
     weights: np.ndarray
@@ -74,7 +77,7 @@ class GridDistribution:
         self.weights = np.asarray(self.weights, dtype=float)
         if self.n <= 0:
             raise GridError(f"grid size must be positive, got {self.n}")
-        if self.weights.shape not in ((self.n, self.n), (self.n,)):
+        if self.weights.shape != (self.n, self.n):
             raise GridError(
                 f"weights shape {self.weights.shape} does not match n={self.n}"
             )
@@ -83,10 +86,6 @@ class GridDistribution:
         total = float(self.weights.sum())
         if not math.isfinite(total) or abs(total - 1.0) > NORMALIZATION_TOL:
             raise GridError(f"weights sum to {total!r}, expected 1 within {NORMALIZATION_TOL}")
-
-    @property
-    def ndim(self) -> int:
-        return self.weights.ndim
 
 
 @dataclass
@@ -204,16 +203,14 @@ def point_mass(u: float, v: float, n: int) -> GridDistribution:
 _TV_ROWS = 64
 
 
-def _step(
-    joint: np.ndarray, marginal: np.ndarray, rc: np.ndarray, renormalize: bool
-) -> np.ndarray:
-    """Advance the marginals ``rc = [r c]`` one step, in place.
+def _step(joint: np.ndarray, marginal: np.ndarray, rc: np.ndarray) -> np.ndarray:
+    """Renormalize the marginals ``rc = [r c]`` and advance them one step, in
+    place.
 
     Returns the ratios ``[x y]`` the step was taken from; the law after the
     step is ``J_ij (x_i + y_j) / 2``.
     """
-    if renormalize:
-        rc /= 0.5 * rc.sum()
+    rc /= 0.5 * rc.sum()
     xy = rc / marginal[:, np.newaxis]
     rc += (joint @ xy)[:, ::-1]
     rc *= 0.5
@@ -231,15 +228,8 @@ def _tv_to_target(joint: np.ndarray, xy: np.ndarray) -> float:
     return 0.5 * total
 
 
-def evolve_2d(
-    dist: GridDistribution,
-    steps: int,
-    params: ModelParams,
-    renormalize: bool = True,
-) -> GridDistribution:
-    """Apply ``steps`` random-scan operator steps to a 2-D distribution."""
-    if dist.ndim != 2:
-        raise GridError("evolve_2d needs a 2-D grid distribution")
+def evolve_2d(dist: GridDistribution, steps: int, params: ModelParams) -> GridDistribution:
+    """Apply ``steps`` random-scan operator steps to a grid distribution."""
     if steps < 0:
         raise GridError("steps must be >= 0")
     joint = _normalized_joint(params, dist.n)
@@ -248,7 +238,7 @@ def evolve_2d(
     marginal = joint.sum(axis=0)
     rc = np.stack([dist.weights.sum(axis=1), dist.weights.sum(axis=0)], axis=1)
     for _ in range(steps):
-        xy = _step(joint, marginal, rc, renormalize)
+        xy = _step(joint, marginal, rc)
     return GridDistribution(n=dist.n, weights=joint * (0.5 * (xy[:, :1] + xy[:, 1])))
 
 
@@ -281,33 +271,22 @@ def find_mixing_time(
     i, j = _start_cell(start[0], start[1], n)
     rc = np.zeros((n, 2))
     rc[i, 0] = rc[j, 1] = 1.0
-    curve = np.empty(max_steps + 1, dtype=float)
     # TV(delta_ij, J) = (1 - J_ij) off the cell plus (1 - J_ij) on it, halved
-    curve[0] = 1.0 - joint[i, j]
-    if curve[0] <= epsilon:
-        return MixingResult(params.a, n, epsilon, tuple(start), 0, curve[:1].copy())
-    for t in range(1, max_steps + 1):
-        tv = _tv_to_target(joint, _step(joint, marginal, rc, True))
-        curve[t] = tv
-        if tv <= epsilon:
-            return MixingResult(params.a, n, epsilon, tuple(start), t, curve[: t + 1].copy())
-    raise MixingNotConverged(
-        f"TV still {curve[max_steps]:.6f} > {epsilon} after {max_steps} steps "
-        f"(a={params.a}, n={n})",
-        curve,
-    )
+    curve = [1.0 - joint[i, j]]
+    while curve[-1] > epsilon:
+        if len(curve) > max_steps:
+            raise MixingNotConverged(
+                f"TV still {curve[-1]:.6f} > {epsilon} after {max_steps} steps "
+                f"(a={params.a}, n={n})",
+                np.array(curve),
+            )
+        curve.append(_tv_to_target(joint, _step(joint, marginal, rc)))
+    return MixingResult(params.a, n, epsilon, tuple(start), len(curve) - 1, np.array(curve))
 
 
 # ======================================================================
 # worst-case distances over starting cells
 # ======================================================================
-
-def _check_dbar_n(n: int) -> None:
-    if n > DBAR_MAX_N:
-        raise GridError(
-            f"pairwise worst-case distance is restricted to n <= {DBAR_MAX_N}, got {n}"
-        )
-
 
 def _max_tv_to_marginal(power: np.ndarray, marginal: np.ndarray) -> float:
     return 0.5 * float(np.abs(power - marginal[np.newaxis, :]).sum(axis=1).max())
@@ -327,10 +306,7 @@ def worst_case_distance_d(t: int, params: ModelParams, n: int) -> float:
     if t < 0:
         raise GridError("t must be >= 0")
     kernel = build_kernel_1d(params, n)
-    power = np.eye(n)
-    for _ in range(t):
-        power = power @ kernel.matrix
-    return _max_tv_to_marginal(power, kernel.marginal)
+    return _max_tv_to_marginal(np.linalg.matrix_power(kernel.matrix, t), kernel.marginal)
 
 
 def worst_case_distance_dbar(
@@ -338,28 +314,23 @@ def worst_case_distance_dbar(
 ) -> tuple[float, float, float]:
     """Pairwise worst-case distances (dbar(s), dbar(t), dbar(s+t)).
 
-    Computed from one incremental sequence of kernel powers so the three
-    are mutually consistent.  Restricted to n <= DBAR_MAX_N.
+    dbar(s + t) is taken from the product K^s K^t of the two powers it
+    bounds.  Restricted to n <= DBAR_MAX_N.
     """
     if s < 0 or t < 0:
         raise GridError("s and t must be >= 0")
-    _check_dbar_n(n)
+    if n > DBAR_MAX_N:
+        raise GridError(
+            f"pairwise worst-case distance is restricted to n <= {DBAR_MAX_N}, got {n}"
+        )
     kernel = build_kernel_1d(params, n)
-    lo, hi = min(s, t), max(s, t)
-    power = np.eye(n)
-    for _ in range(lo):
-        power = power @ kernel.matrix
-    power_lo = power.copy()
-    for _ in range(hi - lo):
-        power = power @ kernel.matrix
-    power_hi = power
-    power_sum = power_lo @ power_hi
-    dbar_lo = _max_pairwise_tv(power_lo)
-    dbar_hi = _max_pairwise_tv(power_hi) if hi != lo else dbar_lo
-    dbar_sum = _max_pairwise_tv(power_sum)
-    if s <= t:
-        return dbar_lo, dbar_hi, dbar_sum
-    return dbar_hi, dbar_lo, dbar_sum
+    power_s = np.linalg.matrix_power(kernel.matrix, s)
+    power_t = np.linalg.matrix_power(kernel.matrix, t)
+    return (
+        _max_pairwise_tv(power_s),
+        _max_pairwise_tv(power_t),
+        _max_pairwise_tv(power_s @ power_t),
+    )
 
 
 # ======================================================================
@@ -380,8 +351,6 @@ def set_probability(dist: GridDistribution, boxes) -> float:
     Boxes are (u_lo, u_hi, v_lo, v_hi); cells cut by a box boundary
     contribute proportionally to covered area.
     """
-    if dist.ndim != 2:
-        raise GridError("set_probability needs a 2-D grid distribution")
     total = 0.0
     for (u_lo, u_hi, v_lo, v_hi) in boxes:
         if not (0.0 <= u_lo <= u_hi <= 1.0 and 0.0 <= v_lo <= v_hi <= 1.0):
@@ -402,8 +371,6 @@ def export_heatmap(dist: GridDistribution, path, params: ModelParams | None = No
     Array orientation: image row i is u-cell i, column j is v-cell j.
     A flat distribution maps to a constant all-white image.
     """
-    if dist.ndim != 2:
-        raise GridError("export_heatmap needs a 2-D grid distribution")
     w = dist.weights
     w_min, w_max = float(w.min()), float(w.max())
     if w_max > w_min:

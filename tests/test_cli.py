@@ -182,13 +182,14 @@ def test_sim_ensemble_without_steps_writes_strict_json(tmp_path, capsys, process
 
 
 def test_sim_ensemble_rejects_xstar(tmp_path, capsys):
-    code, _, err = run_cli(
-        ["sim", "--process", "xstar", "--trajectories", "5",
-         "--out-dir", str(tmp_path)],
-        capsys,
-    )
-    assert code == 2
-    assert "ensemble" in err
+    # a usage error, raised before anything is written
+    out_dir = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["sim", "--process", "xstar", "--trajectories", "5",
+              "--out-dir", str(out_dir)])
+    assert exc.value.code == 2
+    assert "ensemble" in capsys.readouterr().err
+    assert not (out_dir / "manifest.json").exists()
 
 
 # ----------------------------------------------------------------------
@@ -372,6 +373,7 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         ["sim", "--a", "inf"],
         ["constants", "--delta", "-1"],
         ["constants", "--eps-slack", "-5"],
+        ["constants", "--eps-slack", "inf"],
         ["mix", "--eps", "0"],
         ["mix", "--eps", "1.5"],
         ["dbar", "--n", "300"],

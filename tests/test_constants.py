@@ -148,6 +148,8 @@ def test_constants_config_validation():
         ConstantsConfig(0.1, delta=0.6)
     with pytest.raises(ValueError):
         ConstantsConfig(0.1, epsilon_slack=-0.1)
+    with pytest.raises(ValueError):
+        ConstantsConfig(0.1, 0.0, math.inf)
 
 
 # ----------------------------------------------------------------------
