@@ -1,15 +1,30 @@
-"""Command-line interface: subcommands, outputs, exit codes, manifests."""
+"""Command-line interface: subcommands, outputs, exit codes, manifests.
 
+The output digests pin every file a run writes, its stdout and its exit
+code, over a fixed table of small runs of every subcommand.  Like
+``tests/test_golden.py`` they are tied to the numpy and scipy builds they
+were recorded with (numpy 2.4.6, scipy 1.17.1).  After an intended change
+of outputs, print the table afresh with ``PYTHONPATH=src python
+tests/test_cli.py`` and say why in CHANGES.md.
+"""
+
+import contextlib
+import hashlib
 import importlib
+import io
 import json
+import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from diagonal_gibbs import cli
 from diagonal_gibbs.cli import OUT_DIR_ENV, build_parser, main, resolve_config
 from diagonal_gibbs.version import __version__
 
@@ -23,6 +38,82 @@ def run_cli(argv, capsys):
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+# ----------------------------------------------------------------------
+# output digests
+# ----------------------------------------------------------------------
+
+def _failing_dbar(s, t, params, n):
+    # dbar(s + t) = 0.3 > dbar(s) dbar(t) = 0.25: submultiplicativity fails
+    return 0.5, 0.5, 0.3
+
+
+# run name -> argv; each run writes into --out-dir <name>, relative to the
+# working directory, so its manifest holds no absolute path
+_DIGEST_RUNS = {
+    "sim_y": ["sim", "--process", "y", "--steps", "30", "--seed", "3"],
+    "sim_x": ["sim", "--process", "x", "--steps", "20", "--start", "0.2,0.9"],
+    "sim_y_ensemble": ["sim", "--process", "y", "--trajectories", "50", "--steps", "40",
+                       "--start", "0.1"],
+    "sim_x_ensemble": ["sim", "--process", "x", "--trajectories", "20", "--steps", "10"],
+    "sim_w_ensemble": ["sim", "--process", "w", "--trajectories", "30", "--steps", "25",
+                       "--seed", "5"],
+    "evolve": ["evolve", "--a", "10", "--n", "32", "--steps", "5", "--pgm", "state.pgm"],
+    "mix": ["mix", "--a", "10", "--n", "40"],
+    "mix_not_converged": ["mix", "--a", "50", "--n", "40", "--max-steps", "5"],
+    "verify": ["verify", "--a", "10", "--n", "40", "--n-pairs", "20",
+               "--trajectories", "50", "--steps", "30", "--grid", "20"],
+    "verify_fails": ["verify", "--a", "10", "--n", "40", "--n-pairs", "20",
+                     "--trajectories", "50", "--steps", "30", "--grid", "20"],
+    "constants": ["constants", "--alpha", "0.2", "--delta", "0.05"],
+    "heatmap_target": ["heatmap", "--a", "10", "--n", "24", "--out", "t.pgm"],
+    "heatmap_evolved": ["heatmap", "--a", "10", "--n", "24", "--steps", "3",
+                        "--start", "0.5,0.1"],
+    "dbar": ["dbar", "--a", "10", "--n", "20", "--s", "5", "--t", "7"],
+}
+
+# sha256 of exit code, stdout and every file written, per run
+_DIGESTS = {
+    "constants": "95f2c5e06dadeb43f6be67b6f49cd471dabcc4d1516d6ad1e31e534a0d5dd4b9",
+    "dbar": "91f3085ada711d7dde9985fc9a6b81b2c5a25b6f0e63d4401562e881f02cc52b",
+    "evolve": "46a344e130bbbd382c3604e7a9a0a6260854ddce491dfb83b8021d067028779f",
+    "heatmap_evolved": "8a3f7cff7587accd46e1f084c51f20f5d3ce873f22b1abea4b41db2b03ddec72",
+    "heatmap_target": "c9dd619d8771ecf6e142493906c20e39e546ceb3879f6da6a6fe6971ba9e213d",
+    "mix": "4501e70208b0c12f610aaa27a2f36b65248b9e9332321bcb7b163a475183b887",
+    "mix_not_converged": "713f668ca83ed93e181eb11e2cca434ed5355c98d60dbfa8d983e3367efedac9",
+    "sim_w_ensemble": "7dfb7c91677dce1731aa7d3e97cb38cc0d204f9e4ebd33013afee7be87b1ef36",
+    "sim_x": "6a59af5355510570ce2f3d46ea264a051edb4dd86cbdd2717c66d5a495db6562",
+    "sim_x_ensemble": "dd96933f0a758b5d38bc379999a01f4b7003df54b96b553257d3a97ec32f3336",
+    "sim_y": "a772a6278c5a8d910e09394b9f45639771a8f87c3444d9f0cc130f7ac3f33f5a",
+    "sim_y_ensemble": "59e289a66dde6a2ef71b0a5f290ecb2abe1e1758580a315baa81eefe20871948",
+    "verify": "6d4644065b93c65f0711df1f7f7daa467b963d43ae998671937144508b2af617",
+    "verify_fails": "74b54e7b892dbb056646e6adbd1d15d7e82c02d5d52c48ec065c7d122050e0f5",
+}
+
+
+def _output_digest(name: str) -> str:
+    """Run one table entry in the working directory and hash what it left."""
+    patch = (
+        mock.patch.object(cli, "worst_case_distance_dbar", _failing_dbar)
+        if name == "verify_fails" else contextlib.nullcontext()
+    )
+    out, err = io.StringIO(), io.StringIO()
+    with patch, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(_DIGEST_RUNS[name] + ["--out-dir", name])
+    h = hashlib.sha256()
+    for label, blob in [("exit", str(code).encode()), ("stdout", out.getvalue().encode())] + [
+        (path.name, path.read_bytes()) for path in sorted(Path(name).iterdir())
+    ]:
+        h.update(f"{label} {len(blob)}\n".encode())
+        h.update(blob)
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(_DIGEST_RUNS))
+def test_output_digest(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _output_digest(name) == _DIGESTS[name]
 
 
 # ----------------------------------------------------------------------
@@ -435,3 +526,10 @@ def test_console_script_installed():
     proc = subprocess.run([exe, "--version"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == __version__
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)
+        for run_name in sorted(_DIGEST_RUNS):
+            print(f'    "{run_name}": "{_output_digest(run_name)}",')
