@@ -7,9 +7,11 @@ output directory with the fully resolved configuration; two runs with
 identical manifests produce byte-identical outputs.  Machine-readable
 results go to standard output, progress chatter to standard error.
 
-Exit codes: 0 success (all requested checks passed), 1 verification
-failure, 2 usage error, 3 numerical non-convergence (diagnostics file
-written next to the manifest).
+Each handler returns its result payload and writes only its side files
+(trajectory, TV curve, PGM); ``main`` writes the manifest, ``result.json``
+and standard output, and picks the exit code: 0 success, 1 a payload whose
+``passed`` is false (a verification failure), 2 usage error, 3 numerical
+non-convergence (diagnostics file written next to the manifest).
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .chains import (
     run_z_ensemble,
 )
 from .constants import ConstantsConfig, constants_report
-from .coupling import couple_z_yprime, verify_dominance_inequality
+from .coupling import DOMINANCE_TOL, couple_z_yprime, verify_dominance_inequality
 from .density import ModelParams
 from .grid import (
     CORNER_BOXES,
@@ -70,6 +72,10 @@ _PROCESS_NAMES = ", ".join(sorted(_PROCESS_RUNNERS))
 _PLANAR = ("x", "xstar")
 _HALF_LINE = ("yprime", "z")
 
+# absolute slack of the d/dbar sandwich and of submultiplicativity: where
+# dbar is at its roundoff floor (about 5e-16), dbar(s) dbar(t) is far below it
+DISTANCE_TOL = 1e-12
+
 
 def _count_in(least: int, most: float = math.inf):
     """argparse type for an integer count in [least, most]."""
@@ -98,6 +104,13 @@ def _open_unit(text: str) -> float:
     if not 0.0 < value < 1.0:
         raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text}")
     return value
+
+
+def _file_name(text: str) -> str:
+    """argparse type for a plain file name, written inside --out-dir."""
+    if text in ("", ".", "..") or os.path.basename(text) != text:
+        raise argparse.ArgumentTypeError(f"must be a plain file name, got {text!r}")
+    return text
 
 
 def _process(text: str) -> str:
@@ -129,7 +142,7 @@ _FLAGS = {
         ("n", _AT_LEAST_2, 500, None),
         ("steps", _NONNEGATIVE, 100, None),
         ("start", str, "0,0", "'u,v' starting point"),
-        ("pgm", str, None, "also export the evolved distribution as a PGM heatmap"),
+        ("pgm", _file_name, None, "also export the evolved state as this PGM file in --out-dir"),
     ),
     "mix": (
         _A,
@@ -161,7 +174,7 @@ _FLAGS = {
         ("n", _AT_LEAST_2, 500, None),
         ("steps", _NONNEGATIVE, None, "evolve a point mass this many steps; omit for the target"),
         ("start", str, "0,0", "'u,v' starting point when --steps is given"),
-        ("out", str, "target.pgm", "output PGM filename (within --out-dir)"),
+        ("out", _file_name, "target.pgm", "output PGM file name in --out-dir"),
     ),
     "dbar": (
         _A,
@@ -267,36 +280,19 @@ def resolve_config(args: argparse.Namespace) -> dict:
     return resolved
 
 
-def _write_manifest(conf: dict, command: str) -> str:
-    out_dir = conf["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
-    manifest = {"command": command, "config": conf, "version": __version__}
-    path = os.path.join(out_dir, "manifest.json")
-    _write_json(path, manifest)
-    return out_dir
-
-
-def _cmd_sim(conf: dict, params: ModelParams, start) -> int:
+def _cmd_sim(conf: dict, params: ModelParams, start) -> dict:
     """simulate one trajectory or an ensemble of a named process"""
     process = conf["process"]
-    out_dir = conf["out_dir"]
     steps, seed, trajectories = conf["steps"], conf["seed"], conf["trajectories"]
 
     if trajectories <= 1:
         _progress(f"simulating {process} for {steps} steps")
         record = _PROCESS_RUNNERS[process](start, steps, params, seed)
-        csv_path = os.path.join(out_dir, "trajectory.csv")
-        record.to_csv(csv_path)
-        summary = record.summary()
-        _write_json(os.path.join(out_dir, "result.json"), summary)
-        _emit(summary)
-        return 0
+        record.to_csv(os.path.join(conf["out_dir"], "trajectory.csv"))
+        return record.summary()
 
     _progress(f"simulating {trajectories} {process} trajectories x {steps} steps")
-    result = _run_ensemble(process, start, steps, params, seed, trajectories, conf["threads"])
-    _write_json(os.path.join(out_dir, "result.json"), result)
-    _emit(result)
-    return 0
+    return _run_ensemble(process, start, steps, params, seed, trajectories, conf["threads"])
 
 
 def _quantiles(values: np.ndarray) -> dict:
@@ -354,11 +350,10 @@ def _run_ensemble(process, start, steps, params, seed, trajectories, threads) ->
     return base
 
 
-def _cmd_evolve(conf: dict, params: ModelParams, start) -> int:
+def _cmd_evolve(conf: dict, params: ModelParams, start) -> dict:
     """evolve a point mass under the exact grid operator"""
     n, steps = conf["n"], conf["steps"]
     u0, v0 = start
-    out_dir = conf["out_dir"]
 
     _progress(f"evolving point mass at ({u0}, {v0}) for {steps} steps on the {n}x{n} grid")
     t0 = time.time()
@@ -375,45 +370,19 @@ def _cmd_evolve(conf: dict, params: ModelParams, start) -> int:
     }
     _progress(f"done in {time.time() - t0:.1f}s")
     if conf["pgm"]:
-        export_heatmap(dist, os.path.join(out_dir, conf["pgm"]), params)
+        export_heatmap(dist, os.path.join(conf["out_dir"], conf["pgm"]), params)
         result["pgm"] = conf["pgm"]
-    _write_json(os.path.join(out_dir, "result.json"), result)
-    _emit(result)
-    return 0
+    return result
 
 
-def _cmd_mix(conf: dict, params: ModelParams, start) -> int:
+def _cmd_mix(conf: dict, params: ModelParams, start) -> dict:
     """first time the evolved distribution is within eps of the target"""
-    n = conf["n"]
-    out_dir = conf["out_dir"]
-
-    _progress(f"searching mixing time at a={params.a}, n={n}, eps={conf['eps']}")
+    _progress(f"searching mixing time at a={params.a}, n={conf['n']}, eps={conf['eps']}")
     t0 = time.time()
-    try:
-        result = find_mixing_time(start, conf["eps"], params, n, conf["max_steps"])
-    except MixingNotConverged as exc:
-        diag_path = os.path.join(out_dir, "diagnostics.json")
-        curve = exc.tv_curve
-        _write_json(
-            diag_path,
-            {
-                "error": str(exc),
-                "a": params.a,
-                "n": n,
-                "epsilon": conf["eps"],
-                "max_steps": conf["max_steps"],
-                "tv_tail": [float(x) for x in curve[-10:]],
-            },
-        )
-        payload = {"status": "not_converged", "diagnostics": diag_path}
-        _emit(payload)
-        return 3
+    result = find_mixing_time(start, conf["eps"], params, conf["n"], conf["max_steps"])
     _progress(f"t_mix = {result.t_mix} in {time.time() - t0:.1f}s")
-    result.tv_curve_csv(os.path.join(out_dir, "tv_curve.csv"))
-    payload = result.as_dict()
-    _write_json(os.path.join(out_dir, "result.json"), payload)
-    _emit(payload)
-    return 0
+    result.tv_curve_csv(os.path.join(conf["out_dir"], "tv_curve.csv"))
+    return result.as_dict()
 
 
 def _distance_checks(s: int, t: int, params: ModelParams, n: int) -> dict:
@@ -427,22 +396,21 @@ def _distance_checks(s: int, t: int, params: ModelParams, n: int) -> dict:
         "dbar_s": dbar_s,
         "dbar_t": dbar_t,
         "dbar_s_plus_t": dbar_st,
-        "submultiplicative": bool(dbar_st <= dbar_s * dbar_t * (1.0 + 1e-9)),
+        "submultiplicative": bool(dbar_st <= dbar_s * dbar_t * (1.0 + 1e-9) + DISTANCE_TOL),
         "sandwich_ok": all(
-            d[u] <= dbar_u + 1e-12 and dbar_u <= 2.0 * d[u] + 1e-12
+            d[u] <= dbar_u + DISTANCE_TOL and dbar_u <= 2.0 * d[u] + DISTANCE_TOL
             for u, dbar_u in ((s, dbar_s), (t, dbar_t))
         ),
     }
 
 
-def _cmd_verify(conf: dict, params: ModelParams, _start) -> int:
+def _cmd_verify(conf: dict, params: ModelParams, _start) -> dict:
     """run the inequality and invariance suite; nonzero exit on violation"""
-    out_dir = conf["out_dir"]
     checks = {}
 
     _progress("dominance sweep")
     gap = verify_dominance_inequality(conf["grid"], conf["grid"], params)
-    checks["dominance_min_gap"] = {"value": gap, "passed": bool(gap >= -1e-12)}
+    checks["dominance_min_gap"] = {"value": gap, "passed": bool(gap >= -DOMINANCE_TOL)}
 
     _progress("monotone coupling ordering")
     report = couple_z_yprime(
@@ -473,30 +441,18 @@ def _cmd_verify(conf: dict, params: ModelParams, _start) -> int:
         "passed": dist["submultiplicative"],
     }
 
-    all_passed = all(entry["passed"] for entry in checks.values())
-    payload = {
-        "a": params.a,
-        "seed": conf["seed"],
-        "checks": checks,
-        "passed": all_passed,
-    }
-    _write_json(os.path.join(out_dir, "result.json"), payload)
-    _emit(payload)
-    return 0 if all_passed else 1
+    passed = all(entry["passed"] for entry in checks.values())
+    return {"a": params.a, "seed": conf["seed"], "checks": checks, "passed": passed}
 
 
-def _cmd_constants(conf: dict, config: ConstantsConfig, _start) -> int:
+def _cmd_constants(_conf: dict, config: ConstantsConfig, _start) -> dict:
     """closed-form constants report"""
-    payload = constants_report(config)
-    _write_json(os.path.join(conf["out_dir"], "result.json"), payload)
-    _emit(payload)
-    return 0
+    return constants_report(config)
 
 
-def _cmd_heatmap(conf: dict, params: ModelParams, start) -> int:
+def _cmd_heatmap(conf: dict, params: ModelParams, start) -> dict:
     """export the target (or an evolved state) as 16-bit PGM"""
     n = conf["n"]
-    out_dir = conf["out_dir"]
     if conf["steps"] is None:
         _progress(f"exporting the discretized target at a={params.a}, n={n}")
         dist = build_discretized_target(params, n)
@@ -506,25 +462,19 @@ def _cmd_heatmap(conf: dict, params: ModelParams, start) -> int:
         steps = conf["steps"]
         _progress(f"evolving ({u0}, {v0}) for {steps} steps before export")
         dist = evolve_2d(point_mass(u0, v0, n), steps, params)
-    path = os.path.join(out_dir, conf["out"])
-    export_heatmap(dist, path, params)
-    payload = {"a": params.a, "n": n, "steps": steps, "pgm": conf["out"]}
-    _write_json(os.path.join(out_dir, "result.json"), payload)
-    _emit(payload)
-    return 0
+    export_heatmap(dist, os.path.join(conf["out_dir"], conf["out"]), params)
+    return {"a": params.a, "n": n, "steps": steps, "pgm": conf["out"]}
 
 
-def _cmd_dbar(conf: dict, params: ModelParams, _start) -> int:
+def _cmd_dbar(conf: dict, params: ModelParams, _start) -> dict:
     """worst-case pair distances and the submultiplicativity check"""
     n, s, t = conf["n"], conf["s"], conf["t"]
     _progress(f"computing worst-case pair distances at a={params.a}, n={n}")
-    payload = {"a": params.a, "n": n, "s": s, "t": t, **_distance_checks(s, t, params, n)}
-    _write_json(os.path.join(conf["out_dir"], "result.json"), payload)
-    _emit(payload)
-    return 0
+    return {"a": params.a, "n": n, "s": s, "t": t, **_distance_checks(s, t, params, n)}
 
 
-# subcommand -> handler; each handler's docstring is its --help line
+# subcommand -> handler (conf, model, start) -> result payload; each
+# handler's docstring is its --help line
 _COMMANDS = {
     "sim": _cmd_sim,
     "evolve": _cmd_evolve,
@@ -553,8 +503,27 @@ def main(argv=None) -> int:
             )
     except (OSError, ValueError, argparse.ArgumentTypeError) as exc:
         parser.error(str(exc))
-    _write_manifest(conf, args.command)
-    return _COMMANDS[args.command](conf, model, start)
+    out_dir = conf["out_dir"]
+    os.makedirs(out_dir, exist_ok=True)
+    manifest = {"command": args.command, "config": conf, "version": __version__}
+    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
+    try:
+        payload = _COMMANDS[args.command](conf, model, start)
+    except MixingNotConverged as exc:  # raised by mix only
+        diagnostics = os.path.join(out_dir, "diagnostics.json")
+        _write_json(diagnostics, {
+            "error": str(exc),
+            "a": conf["a"],
+            "n": conf["n"],
+            "epsilon": conf["eps"],
+            "max_steps": conf["max_steps"],
+            "tv_tail": [float(x) for x in exc.tv_curve[-10:]],
+        })
+        _emit({"status": "not_converged", "diagnostics": diagnostics})
+        return 3
+    _write_json(os.path.join(out_dir, "result.json"), payload)
+    _emit(payload)
+    return 1 if payload.get("passed") is False else 0
 
 
 if __name__ == "__main__":

@@ -77,7 +77,11 @@ def gamma_const(config: ConstantsConfig) -> float:
     return 1.0 + 2.0 * delta - integral
 
 
-def tv_uniform_marginal(params: ModelParams, grid: int = 20001) -> float:
+# points of the Simpson grid on [0, 1]; odd, as Simpson's rule needs
+_SIMPSON_POINTS = 20001
+
+
+def tv_uniform_marginal(params: ModelParams) -> float:
     """TV distance between the target's u-marginal and the uniform law.
 
     The marginal has density p_u(x) / int_0^1 p_u; the distance is
@@ -89,12 +93,10 @@ def tv_uniform_marginal(params: ModelParams, grid: int = 20001) -> float:
     """
     a = params.a
     normalizer = float(special.erf(a)) + math.expm1(-a * a) / (a * SQRT_PI)
-    if grid % 2 == 0:
-        grid += 1
-    x = np.linspace(0.0, 1.0, grid)
+    x = np.linspace(0.0, 1.0, _SIMPSON_POINTS)
     integrand = np.abs(1.0 - marginal_density_pu(x, params) / normalizer)
     h = x[1] - x[0]
-    weights = np.ones(grid)
+    weights = np.ones(_SIMPSON_POINTS)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
     return 0.5 * float(h / 3.0 * (weights @ integrand))

@@ -122,8 +122,16 @@ class CouplingReport:
             fh.write(f"never,{never}\n")
 
 
-def _times_list(times: np.ndarray) -> list:
-    return [None if math.isnan(t) else int(t) for t in times]
+def _report(pair_name, params, seed, steps, trajectories, first, second,
+            decoupling=None, violations=0, **aux) -> CouplingReport:
+    """The report of a coupled batch.  decoupling holds one time per
+    trajectory, NaN where the pair stayed coupled; None for a pair that
+    never decouples."""
+    times = [None] * trajectories if decoupling is None else [
+        None if math.isnan(t) else int(t) for t in decoupling
+    ]
+    return CouplingReport(pair_name, trajectories, steps, times, violations, params, seed,
+                          first, second, aux)
 
 
 # ======================================================================
@@ -190,17 +198,8 @@ def couple_z_yprime(
         _Process(_uniforms, step, {}), {"z": z0, "y": z0, "violations": 0},
         ("z", "y", "violations"), steps, seed, trajectories, threads,
     )
-    return CouplingReport(
-        pair_name="Z_YPrime",
-        trajectories=trajectories,
-        steps_per_trajectory=steps,
-        decoupling_times=[None] * trajectories,
-        ordering_violations=int(violations.sum()),
-        params_used=params,
-        seed=seed,
-        terminal_first=z,
-        terminal_second=y,
-    )
+    return _report("Z_YPrime", params, seed, steps, trajectories, z, y,
+                   violations=int(violations.sum()))
 
 
 def verify_dominance_inequality(grid_v: int, grid_u: int, params: ModelParams) -> float:
@@ -267,18 +266,7 @@ def couple_y_w(
         _Process(draw, step, {"nu_c2": _outside_unit}), {"w": w0, "y": w0},
         ("y", "w", "nu_c2"), steps, seed, trajectories, threads,
     )
-    return CouplingReport(
-        pair_name="Y_W",
-        trajectories=trajectories,
-        steps_per_trajectory=steps,
-        decoupling_times=_times_list(nu_c2),
-        ordering_violations=0,
-        params_used=params,
-        seed=seed,
-        terminal_first=y,
-        terminal_second=w,
-        aux={"nu_c2": nu_c2},
-    )
+    return _report("Y_W", params, seed, steps, trajectories, y, w, nu_c2, nu_c2=nu_c2)
 
 
 def couple_y_yprime(
@@ -321,15 +309,5 @@ def couple_y_yprime(
         _Process(draw, step, hits), {"y": y0, "yp": y0, "coupled": True},
         ("y", "yp", "nu_c1", "nu_m_tilde"), steps, seed, trajectories, threads,
     )
-    return CouplingReport(
-        pair_name="Y_YPrime",
-        trajectories=trajectories,
-        steps_per_trajectory=steps,
-        decoupling_times=_times_list(nu_c1),
-        ordering_violations=0,
-        params_used=params,
-        seed=seed,
-        terminal_first=y,
-        terminal_second=yp,
-        aux={"nu_c1": nu_c1, "nu_m_tilde": nu_m_tilde},
-    )
+    return _report("Y_YPrime", params, seed, steps, trajectories, y, yp, nu_c1,
+                   nu_c1=nu_c1, nu_m_tilde=nu_m_tilde)

@@ -266,6 +266,8 @@ def find_mixing_time(
     """
     if not (0.0 < epsilon < 1.0):
         raise GridError(f"epsilon must lie in (0, 1), got {epsilon}")
+    if max_steps < 0:
+        raise GridError(f"max_steps must be >= 0, got {max_steps}")
     joint = _normalized_joint(params, n)
     marginal = joint.sum(axis=0)
     i, j = _start_cell(start[0], start[1], n)

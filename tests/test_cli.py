@@ -49,6 +49,9 @@ def _failing_dbar(s, t, params, n):
     return 0.5, 0.5, 0.3
 
 
+_SMALL_VERIFY = ["verify", "--a", "10", "--n", "40", "--n-pairs", "20",
+                 "--trajectories", "50", "--steps", "30", "--grid", "20"]
+
 # run name -> argv; each run writes into --out-dir <name>, relative to the
 # working directory, so its manifest holds no absolute path
 _DIGEST_RUNS = {
@@ -62,10 +65,8 @@ _DIGEST_RUNS = {
     "evolve": ["evolve", "--a", "10", "--n", "32", "--steps", "5", "--pgm", "state.pgm"],
     "mix": ["mix", "--a", "10", "--n", "40"],
     "mix_not_converged": ["mix", "--a", "50", "--n", "40", "--max-steps", "5"],
-    "verify": ["verify", "--a", "10", "--n", "40", "--n-pairs", "20",
-               "--trajectories", "50", "--steps", "30", "--grid", "20"],
-    "verify_fails": ["verify", "--a", "10", "--n", "40", "--n-pairs", "20",
-                     "--trajectories", "50", "--steps", "30", "--grid", "20"],
+    "verify": _SMALL_VERIFY,
+    "verify_fails": _SMALL_VERIFY,  # run with _failing_dbar
     "constants": ["constants", "--alpha", "0.2", "--delta", "0.05"],
     "heatmap_target": ["heatmap", "--a", "10", "--n", "24", "--out", "t.pgm"],
     "heatmap_evolved": ["heatmap", "--a", "10", "--n", "24", "--steps", "3",
@@ -337,6 +338,35 @@ def test_dbar_sandwich_and_submultiplicativity(tmp_path, capsys):
     assert payload["dbar_s_plus_t"] <= payload["dbar_s"] * payload["dbar_t"] * (1 + 1e-9)
 
 
+@pytest.mark.parametrize("a", ["0.5", "1", "2"])
+def test_verify_passes_at_the_roundoff_floor(tmp_path, capsys, a):
+    # at s = t = 50 on n = 100, dbar is about 5e-16 and dbar(s) dbar(t)
+    # about 3e-31, so only an absolute slack tells roundoff from a failure
+    code, out, _ = run_cli(
+        ["verify", "--a", a, "--n", "40", "--trajectories", "50", "--steps", "30",
+         "--grid", "20", "--out-dir", str(tmp_path)],
+        capsys,
+    )
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert checks["submultiplicative"]["dbar_s"] < 1e-14
+    assert checks["submultiplicative"]["passed"] is True
+    code, out, _ = run_cli(["dbar", "--a", a, "--out-dir", str(tmp_path)], capsys)
+    assert code == 0
+    assert json.loads(out)["submultiplicative"] is True
+
+
+def test_verify_failure_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "worst_case_distance_dbar", _failing_dbar)
+    argv = _DIGEST_RUNS["verify_fails"] + ["--out-dir", str(tmp_path)]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    assert payload["checks"]["submultiplicative"]["passed"] is False
+    assert read_json(tmp_path / "result.json") == payload
+
+
 def test_verify_suite_passes_at_small_sizes(tmp_path, capsys):
     code, out, _ = run_cli(
         ["verify", "--a", "10", "--n", "100", "--n-pairs", "40",
@@ -470,6 +500,11 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         ["dbar", "--n", "300"],
         ["verify", "--n-pairs", "300"],
         ["sim", "--config", str(tmp_path / "missing.json")],
+        # an output name with a directory part, which would leave --out-dir
+        ["heatmap", "--out", str(tmp_path / "x.pgm")],
+        ["heatmap", "--out", "sub/x.pgm"],
+        ["evolve", "--pgm", "../x.pgm"],
+        ["heatmap", "--out", ".."],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out-dir", str(tmp_path / "bad")])
@@ -493,6 +528,7 @@ def test_usage_errors_exit_2(tmp_path, capsys):
             main(["sim", "--config", str(conf_path), "--out-dir", str(tmp_path / "bad")])
         assert exc.value.code == 2, content
     assert not (tmp_path / "bad").exists()
+    assert not (tmp_path / "x.pgm").exists()
     capsys.readouterr()
 
 

@@ -249,6 +249,14 @@ def test_mixing_time_validates_epsilon():
         find_mixing_time((0.0, 0.0), 1.0, ModelParams(10.0), 50, 100)
 
 
+def test_mixing_time_validates_max_steps():
+    # a negative budget is a bad input, not a search that ran out of steps
+    with pytest.raises(GridError, match="max_steps"):
+        find_mixing_time((0.0, 0.0), 0.25, ModelParams(10.0), 50, -1)
+    with pytest.raises(MixingNotConverged):
+        find_mixing_time((0.0, 0.0), 0.25, ModelParams(10.0), 50, 0)
+
+
 def test_mixing_time_immediate_when_flat():
     # near-uniform target: a point mass is 1 - 1/n^2 away, but one step
     # lands essentially at the target
