@@ -28,8 +28,9 @@ Two drivers run every public runner.  ``_run_ensemble`` fills the start
 state per chunk, draws step by step from the chunk's stream, records first
 hits (the start counts as t = 0) and concatenates only the named outputs.
 ``_run_single`` draws all steps up front from one stream, steps a 0-d
-state (numpy's scalar path is the fast one for a single trajectory) and
-records its path, to which it applies the same predicates.
+state (on which the truncated quantile takes its scalar entry, with the
+vector kernel's bits) and records its path, to which it applies the same
+predicates.
 The single-run Z and W walks are the exception: ``_walk_path`` sums their
 increments with one ``cumsum``, because a step loop would add sequentially
 and so round differently, and would make 10^6-step runs a Python loop.

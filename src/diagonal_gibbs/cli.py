@@ -106,10 +106,20 @@ def _open_unit(text: str) -> float:
     return value
 
 
+# the files a run itself writes into --out-dir
+_RUN_FILES = ("manifest.json", "result.json", "diagnostics.json", "trajectory.csv", "tv_curve.csv")
+
+
 def _file_name(text: str) -> str:
-    """argparse type for a plain file name, written inside --out-dir."""
+    """argparse type for a plain file name, written inside --out-dir.
+
+    Neither the name nor its ``<name>.json`` sidecar may be one of the
+    run's own files, since one write would overwrite the other.
+    """
     if text in ("", ".", "..") or os.path.basename(text) != text:
         raise argparse.ArgumentTypeError(f"must be a plain file name, got {text!r}")
+    if text in _RUN_FILES or text + ".json" in _RUN_FILES:
+        raise argparse.ArgumentTypeError(f"{text!r} would overwrite a file the run writes")
     return text
 
 
@@ -501,10 +511,11 @@ def main(argv=None) -> int:
             raise argparse.ArgumentTypeError(
                 "argument --trajectories: ensemble mode supports x, y, yprime, z, w"
             )
+        # last, so that a run rejected above leaves no directory behind
+        out_dir = conf["out_dir"]
+        os.makedirs(out_dir, exist_ok=True)
     except (OSError, ValueError, argparse.ArgumentTypeError) as exc:
         parser.error(str(exc))
-    out_dir = conf["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
     manifest = {"command": args.command, "config": conf, "version": __version__}
     _write_json(os.path.join(out_dir, "manifest.json"), manifest)
     try:

@@ -20,6 +20,12 @@ reflected endpoint, and those two values are reused by the mass, the
 initial estimate and each Newton step, which then costs one Phi call.  The
 test suite checks the results bit for bit against a reference that
 evaluates both sides of every branch.
+
+The truncated quantile has a second entry for a 0-d center and a 0-d p,
+the call a single trajectory makes once per step: the same algorithm on
+Python floats, calling the same ufunc for every transcendental, so it
+returns the vector kernel's bits without numpy's per-call cost on 0-d
+arrays.  The test suite checks it bit for bit against the vector kernel.
 """
 
 from __future__ import annotations
@@ -140,7 +146,8 @@ def _std_pdf(z):
 
 
 def _check_p(p):
-    if ((p < 0.0) | (p > 1.0)).any():
+    # phrased so that NaN, which lies in no interval, fails it
+    if not np.all((p >= 0.0) & (p <= 1.0)):
         raise ValueError("quantile argument must lie in [0, 1]")
 
 
@@ -225,9 +232,15 @@ def _trunc_quantile_core(center, sigma: float, lo: float, hi: float, p):
     cumulative target keeps relative accuracy.  Then a fixed number of
     Newton corrections on the truncated CDF, safeguarded by a shrinking
     bracket (midpoint fallback when Newton leaves it).
+
+    A 0-d center with a 0-d p is solved by ``_trunc_quantile_scalar``, with
+    the same bits, as a numpy float64; any array input, one center with an
+    array of p included, runs vectorized.
     """
     center = np.asarray(center, dtype=float)
     p = np.asarray(p, dtype=float)
+    if center.ndim == 0 and p.ndim == 0:
+        return np.float64(_trunc_quantile_scalar(float(center), sigma, lo, hi, float(p)))
     _check_p(p)
     w = _window(center, sigma, lo, hi)
     _check_mass(w.mass, center, sigma, lo, hi)
@@ -270,6 +283,80 @@ def _trunc_quantile_core(center, sigma: float, lo: float, hi: float, p):
     # Hard edges are exact by contract.
     x = np.where(p == 0.0, lo, x)
     x = np.where(p == 1.0, hi, x)
+    return x
+
+
+# np.maximum, np.minimum and np.clip on 0-d input, for Python floats: NaN in
+# any argument gives NaN, a tie in max or min returns the second argument, and
+# a tie in clip keeps x (so no signed zero moves).  Python's max, min and
+# chained comparisons differ on both counts.
+def _max(a: float, b: float) -> float:
+    return a if a > b or a != a else b
+
+
+def _min(a: float, b: float) -> float:
+    return a if a < b or a != a else b
+
+
+def _clip(x: float, lo: float, hi: float) -> float:
+    if x < lo or lo != lo:
+        x = lo
+    if x > hi or hi != hi:
+        x = hi
+    return x
+
+
+def _trunc_quantile_scalar(center: float, sigma: float, lo: float, hi: float, p: float):
+    """``_trunc_quantile_core`` for one center and one p, on Python floats.
+
+    The vector algorithm step for step, with the same bits: Python + - * /
+    and comparisons round as numpy's do, every transcendental is the same
+    ufunc, looked up through ``special`` and ``np``, and selections become
+    branches.
+    """
+    if not 0.0 <= p <= 1.0:
+        _check_p(p)
+    alpha = (lo - center) / sigma
+    beta = (hi - center) / sigma
+    upper = alpha > 0.0
+    # _window: reflect a window wholly above the center
+    if upper:
+        sign, hi_r, f_lo = -1.0, -alpha, float(special.ndtr(-beta))
+    else:
+        sign, hi_r, f_lo = 1.0, beta, float(special.ndtr(alpha))
+    f_hi = float(special.ndtr(hi_r))
+    offset = -f_hi if upper else f_lo
+    mass = f_hi - f_lo
+    if mass < DEGENERATE_MASS:
+        _check_mass(mass, center, sigma, lo, hi)
+
+    f_far = float(special.ndtr(-hi_r))
+    lower_tail = (f_far if upper else f_lo) + p * mass
+    upper_tail = (f_lo if upper else f_far) + (1.0 - p) * mass
+    from_below = lower_tail <= 0.5
+    z = float(special.ndtri(_max(lower_tail if from_below else upper_tail, _TINY)))
+    x = center + sigma * (z if from_below else -z)
+
+    blo = _max(lo, center - _Z_RANGE * sigma)
+    bhi = _min(hi, center + _Z_RANGE * sigma)
+    x = _clip(x, blo, bhi)
+    inv_norm = sigma * mass
+    for _ in range(_TRUNC_NEWTON_STEPS):
+        s = (x - center) / sigma
+        err = (sign * float(special.ndtr(sign * s)) - offset) / mass - p
+        if err >= 0.0:
+            bhi = x
+        if err <= 0.0:
+            blo = x
+        density = float(_std_pdf(s))
+        step = err * inv_norm / _max(density, _TINY) if density > 0.0 else 0.0
+        candidate = x - step
+        x = candidate if blo <= candidate <= bhi else 0.5 * (blo + bhi)
+
+    if p == 0.0:
+        return lo
+    if p == 1.0:
+        return hi
     return x
 
 

@@ -505,10 +505,25 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         ["heatmap", "--out", "sub/x.pgm"],
         ["evolve", "--pgm", "../x.pgm"],
         ["heatmap", "--out", ".."],
+        # an output name that is, or whose .json sidecar is, a file the run writes
+        ["heatmap", "--out", "manifest.json"],
+        ["heatmap", "--out", "result"],
+        ["heatmap", "--out", "diagnostics.json"],
+        ["evolve", "--pgm", "manifest"],
+        ["evolve", "--pgm", "trajectory.csv"],
+        ["evolve", "--pgm", "tv_curve.csv"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out-dir", str(tmp_path / "bad")])
         assert exc.value.code == 2, argv
+    # an --out-dir that is an existing file, or lies beneath one
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    for out_dir in (afile, afile / "sub"):
+        with pytest.raises(SystemExit) as exc:
+            main(["constants", "--out-dir", str(out_dir)])
+        assert exc.value.code == 2, out_dir
+    assert afile.read_text() == "kept\n"
     # --config values pass the same checks as the flags they name
     conf_path = tmp_path / "bad.json"
     conf_path.write_text(json.dumps({"steps": -2}))

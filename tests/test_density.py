@@ -195,6 +195,13 @@ def test_truncated_quantile_rejects_bad_p():
         truncated_quantile(dist, -0.1)
     with pytest.raises(ValueError):
         truncated_quantile(dist, 1.5)
+    # NaN lies in no interval: rejected by both solvers, scalar or array
+    folded = FoldedGaussian(0.5, ModelParams(10.0).sigma2)
+    for bad in (math.nan, np.array([0.2, math.nan]), np.array([0.2, 1.5])):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            truncated_quantile(dist, bad)
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            folded.quantile(bad)
 
 
 def test_degenerate_truncation_is_an_error():
@@ -485,8 +492,11 @@ def test_truncated_solvers_match_both_branch_reference(a, lo, hi):
     centers[:3 + len(edges)] = [left, right, 0.5 * (left + right), *edges]
     p = _oracle_p(rng, n)
     assert np.any((lo - centers) / sigma > 0.0) or not math.isfinite(lo)
-    _assert_same_bits(density._trunc_quantile_core(centers, sigma, lo, hi, p),
-                      _ref_trunc_quantile(centers, sigma, lo, hi, p))
+    vector = density._trunc_quantile_core(centers, sigma, lo, hi, p)
+    _assert_same_bits(vector, _ref_trunc_quantile(centers, sigma, lo, hi, p))
+    # every pair again through the 0-d entry, the scalar path
+    _assert_same_bits([density._trunc_quantile_core(c, sigma, lo, hi, q)
+                       for c, q in zip(centers, p)], vector)
     x = rng.uniform(left - reach, right + reach, n)
     _assert_same_bits(density._trunc_cdf_core(centers, sigma, lo, hi, x),
                       _ref_trunc_cdf(centers, sigma, lo, hi, x))
@@ -564,6 +574,13 @@ def test_truncated_quantile_evaluates_each_tail_once(monkeypatch, center_lo, cen
     n = 1000
     rng = np.random.default_rng(8)
     centers = rng.uniform(center_lo, center_hi, n)
-    density._trunc_quantile_core(centers, ModelParams(10.0).sigma, 0.0, 1.0, rng.random(n))
+    p = rng.random(n)
+    density._trunc_quantile_core(centers, ModelParams(10.0).sigma, 0.0, 1.0, p)
     assert counting.elements["ndtr"] <= (3 + density._TRUNC_NEWTON_STEPS) * n
     assert counting.elements["ndtri"] <= n
+    # the same bound per call on the 0-d entry
+    for center, q in zip(centers[:100], p[:100]):
+        counting.elements.clear()
+        density._trunc_quantile_core(center, ModelParams(10.0).sigma, 0.0, 1.0, q)
+        assert counting.elements["ndtr"] <= 3 + density._TRUNC_NEWTON_STEPS
+        assert counting.elements["ndtri"] <= 1
