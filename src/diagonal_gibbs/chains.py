@@ -28,9 +28,8 @@ Two drivers run every public runner.  ``_run_ensemble`` fills the start
 state per chunk, draws step by step from the chunk's stream, records first
 hits (the start counts as t = 0) and concatenates only the named outputs.
 ``_run_single`` draws all steps up front from one stream, steps a 0-d
-state (on which the truncated quantile takes its scalar entry, with the
-vector kernel's bits) and records its path, to which it applies the same
-predicates.
+state and records the path of the named outputs, to which it applies the
+same predicates.
 The single-run Z and W walks are the exception: ``_walk_path`` sums their
 increments with one ``cumsum``, because a step loop would add sequentially
 and so round differently, and would make 10^6-step runs a Python loop.
@@ -48,6 +47,7 @@ thread count.
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -266,22 +266,25 @@ def _run_ensemble(process: _Process, start: dict, outputs: tuple, steps: int, se
     return [np.concatenate(column) for column in zip(*parts)]
 
 
-def _run_single(process: _Process, start: dict, steps: int, seed: int):
+def _run_single(process: _Process, start: dict, outputs: tuple, steps: int, seed: int):
     """Run ``process`` once from ``start`` on the stream of ``seed``.
 
-    Returns the path of every state entry (steps + 1 values each) and the
-    first-hit index of each stopping time, or None when never hit.
+    Returns the path (steps + 1 values) of each state entry named in
+    ``outputs``, in that order, and the first-hit index of each stopping
+    time, or None when never hit.  The stopping-time predicates read only
+    the ``outputs`` entries.
     """
     _check_count("steps", steps, 0)
     draws = process.draw(_master_rng(seed), steps)
     state = {key: np.full((), value) for key, value in start.items()}
-    path = {key: np.empty(steps + 1, dtype=arr.dtype) for key, arr in state.items()}
+    path = {key: np.empty(steps + 1, dtype=state[key].dtype) for key in outputs}
     for t in range(steps + 1):
         if t:
             process.step(state, [d[t - 1] for d in draws], t - 1)
-        for key, value in state.items():
-            path[key][t] = value
-    return path, {name: _first_index(hit(path)) for name, hit in process.hits.items()}
+        for key, column in path.items():
+            column[t] = state[key]
+    times = {name: _first_index(hit(path)) for name, hit in process.hits.items()}
+    return [path[key] for key in outputs], times
 
 
 def _walk_path(process: _Process, w0: float, steps: int, seed: int):
@@ -415,8 +418,8 @@ def _check_unit(x: float, name: str) -> float:
 
 def _check_nonnegative(x: float, name: str) -> float:
     x = float(x)
-    if x < 0.0:
-        raise ValueError(f"{name} must be >= 0, got {x}")
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"{name} must lie in [0, inf), got {x}")
     return x
 
 
@@ -429,9 +432,11 @@ def _record(process_name, path, steps, params, seed, record_states, **fields):
 
 
 def _run_planar(process_name, draw, start, steps, params, seed, record_states):
-    path, _ = _run_single(_x_process(params, draw), _planar_start(start), steps, seed)
-    states = np.column_stack((path["u"], path["v"]))
-    directions = _directions(path["last_u"][1:])
+    (u, v, last_u), _ = _run_single(
+        _x_process(params, draw), _planar_start(start), ("u", "v", "last_u"), steps, seed,
+    )
+    states = np.column_stack((u, v))
+    directions = _directions(last_u[1:])
     return _record(process_name, states, steps, params, seed, record_states,
                    direction_sequence=directions)
 
@@ -456,8 +461,8 @@ def run_y(
     always).
     """
     start = {"y": _check_unit(start_u, "start_u")}
-    path, times = _run_single(_y_process(params), start, steps, seed)
-    return _record("Y", path["y"], steps, params, seed, record_states, stopping_times=times)
+    (path,), times = _run_single(_y_process(params), start, ("y",), steps, seed)
+    return _record("Y", path, steps, params, seed, record_states, stopping_times=times)
 
 
 def run_y_prime(
@@ -465,8 +470,8 @@ def run_y_prime(
 ) -> TrajectoryRecord:
     """Flip chain with the upper wall removed (support [0, inf))."""
     start = {"y": _check_nonnegative(start_u, "start_u")}
-    path, times = _run_single(_y_prime_process(params), start, steps, seed)
-    return _record("YPrime", path["y"], steps, params, seed, record_states, stopping_times=times)
+    (path,), times = _run_single(_y_prime_process(params), start, ("y",), steps, seed)
+    return _record("YPrime", path, steps, params, seed, record_states, stopping_times=times)
 
 
 def run_z(

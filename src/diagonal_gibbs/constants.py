@@ -40,7 +40,7 @@ class ConstantsConfig:
 
 def erdos_kac_cdf(alpha: float) -> float:
     """Limit law of max |partial sum| / sqrt(n): sqrt(2/pi) * int_0^alpha e^{-x^2/2} dx."""
-    if alpha < 0.0:
+    if not alpha >= 0.0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     return float(special.erf(alpha / math.sqrt(2.0)))
 

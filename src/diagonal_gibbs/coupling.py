@@ -160,9 +160,9 @@ def monotone_couple_step(lower_center, upper_center, shared_uniform, params: Mod
     """
     lower_center = np.asarray(lower_center, dtype=float)
     upper_center = np.asarray(upper_center, dtype=float)
-    if np.any(lower_center < 0.0):
+    if not np.all(lower_center >= 0.0):
         raise ValueError("lower_center must be >= 0")
-    if np.any(lower_center > upper_center):
+    if not np.all(lower_center <= upper_center):
         raise ValueError("monotone coupling requires lower_center <= upper_center")
     lower_next, upper_next, _ = _monotone_core(
         lower_center, upper_center, shared_uniform, params.sigma

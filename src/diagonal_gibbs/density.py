@@ -21,18 +21,19 @@ initial estimate and each Newton step, which then costs one Phi call.  The
 test suite checks the results bit for bit against a reference that
 evaluates both sides of every branch.
 
-The truncated quantile has a second entry for a 0-d center and a 0-d p,
-the call a single trajectory makes once per step: the same algorithm on
-Python floats, calling the same ufunc for every transcendental, so it
-returns the vector kernel's bits without numpy's per-call cost on 0-d
-arrays.  The test suite checks it bit for bit against the vector kernel.
+The truncated quantile is one algorithm, written against six operations
+(where, maximum, minimum, clip, Phi and its inverse), that runs on either
+kind of input.  Arrays get numpy's operations.  A 0-d center with a 0-d p,
+the call a single trajectory makes once per step, gets conditional
+expressions and the same ufuncs on Python floats, which skip numpy's
+per-call cost on 0-d arrays and round alike, so both kinds return the same
+bits.  The test suite checks both against the reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy import special
@@ -114,7 +115,7 @@ def gaussian_tail_bound(z, params: ModelParams):
     Dominates P(N(0, 1/(2a^2)) > z) = erfc(a z)/2 for every z > 0.
     """
     z = np.asarray(z, dtype=float)
-    if np.any(z <= 0.0):
+    if not np.all(z > 0.0):
         raise ValueError("tail bound requires z > 0")
     out = np.exp(-((params.a * z) ** 2)) / (2.0 * SQRT_PI * params.a * z)
     return float(out) if out.ndim == 0 else out
@@ -138,7 +139,7 @@ def marginal_density_pu(x, params: ModelParams):
 # ======================================================================
 
 # Floor that keeps ndtri arguments and Newton divisors positive.
-_TINY = np.finfo(float).tiny
+_TINY = float(np.finfo(float).tiny)
 
 
 def _std_pdf(z):
@@ -151,139 +152,14 @@ def _check_p(p):
         raise ValueError("quantile argument must lie in [0, 1]")
 
 
-class _Window(NamedTuple):
-    """A truncation window [lo, hi] standardized about the center.
-
-    ``alpha`` and ``beta`` are (lo - center)/sigma and (hi - center)/sigma.
-    A window wholly above the center (``upper``, alpha > 0) is reflected
-    through it to [lo_r, hi_r] = [-beta, -alpha], so Phi(lo_r) is always the
-    tail at or below 1/2, which keeps relative accuracy; negation is exact.
-    Phi is evaluated once at each reflected endpoint: ``f_lo`` = Phi(lo_r)
-    and ``mass`` = Phi(hi_r) - f_lo.  ``sign`` is -1 on reflected windows
-    and +1 elsewhere; ``offset`` is -Phi(-alpha) on reflected windows and
-    Phi(alpha) elsewhere.
-    """
-
-    alpha: np.ndarray
-    beta: np.ndarray
-    upper: np.ndarray
-    sign: np.ndarray
-    hi_r: np.ndarray
-    f_lo: np.ndarray
-    offset: np.ndarray
-    mass: np.ndarray
-
-    def mass_to(self, s):
-        """Phi(s) - Phi(alpha) for s in [alpha, beta], with one Phi call.
-
-        On a reflected window this is -Phi(-s) + Phi(-alpha), the same
-        difference taken on the tail that keeps precision, rounded exactly
-        as Phi(-alpha) - Phi(-s).
-        """
-        return self.sign * special.ndtr(self.sign * s) - self.offset
-
-
-def _window(center, sigma: float, lo: float, hi: float) -> _Window:
-    alpha = (lo - center) / sigma
-    beta = (hi - center) / sigma
-    upper = alpha > 0.0
-    hi_r = np.where(upper, -alpha, beta)
-    f_lo = special.ndtr(np.where(upper, -beta, alpha))
-    f_hi = special.ndtr(hi_r)
-    return _Window(
-        alpha, beta, upper, np.where(upper, -1.0, 1.0), hi_r, f_lo,
-        np.where(upper, -f_hi, f_lo), f_hi - f_lo,
-    )
-
-
-def _trunc_mass(center, sigma: float, lo: float, hi: float):
-    return _window(np.asarray(center, dtype=float), sigma, lo, hi).mass
-
-
-def _trunc_cdf_core(center, sigma: float, lo: float, hi: float, x):
-    """CDF of N(center, sigma^2) truncated to [lo, hi], vectorized."""
-    center = np.asarray(center, dtype=float)
-    x = np.asarray(x, dtype=float)
-    w = _window(center, sigma, lo, hi)
-    _check_mass(w.mass, center, sigma, lo, hi)
-    s = np.clip((x - center) / sigma, w.alpha, w.beta)
-    return np.clip(w.mass_to(s) / w.mass, 0.0, 1.0)
-
-
 def _check_mass(mass, center, sigma, lo, hi):
-    if np.any(mass < DEGENERATE_MASS):
+    # phrased so that a NaN mass, which a NaN center gives, fails it
+    if not np.all(mass >= DEGENERATE_MASS):
         bad = np.min(mass)
         raise DegenerateTruncationError(
             f"truncation to [{lo}, {hi}] retains mass {bad:g} "
             f"(center range [{np.min(center):g}, {np.max(center):g}], sigma {sigma:g})"
         )
-
-
-def _finite_bracket(center, sigma: float, lo: float, hi: float):
-    blo = np.maximum(lo, np.asarray(center, dtype=float) - _Z_RANGE * sigma)
-    bhi = np.minimum(hi, np.asarray(center, dtype=float) + _Z_RANGE * sigma)
-    return blo, bhi
-
-
-def _trunc_quantile_core(center, sigma: float, lo: float, hi: float, p):
-    """Quantile of N(center, sigma^2) truncated to [lo, hi], vectorized.
-
-    Initial estimate: invert the normal CDF on whichever tail of the
-    cumulative target keeps relative accuracy.  Then a fixed number of
-    Newton corrections on the truncated CDF, safeguarded by a shrinking
-    bracket (midpoint fallback when Newton leaves it).
-
-    A 0-d center with a 0-d p is solved by ``_trunc_quantile_scalar``, with
-    the same bits, as a numpy float64; any array input, one center with an
-    array of p included, runs vectorized.
-    """
-    center = np.asarray(center, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if center.ndim == 0 and p.ndim == 0:
-        return np.float64(_trunc_quantile_scalar(float(center), sigma, lo, hi, float(p)))
-    _check_p(p)
-    w = _window(center, sigma, lo, hi)
-    _check_mass(w.mass, center, sigma, lo, hi)
-    if center.shape != p.shape:
-        # after the window, which depends on the center alone
-        center, p = np.broadcast_arrays(center, p)
-
-    # Cumulative target measured from the lower tail and from the upper
-    # tail; exactly one of the two is <= 1/2 and is safe to invert.  Their
-    # offsets Phi(alpha) and Phi(-beta) are f_lo and Phi(-hi_r), in the
-    # order the reflection put them.
-    f_far = special.ndtr(-w.hi_r)
-    lower_tail = np.where(w.upper, f_far, w.f_lo) + p * w.mass
-    upper_tail = np.where(w.upper, w.f_lo, f_far) + (1.0 - p) * w.mass
-    from_below = lower_tail <= 0.5
-    z = special.ndtri(np.maximum(np.where(from_below, lower_tail, upper_tail), _TINY))
-    x = center + sigma * np.where(from_below, z, -z)
-
-    # A non-degenerate window keeps blo <= bhi, and every iterate lies in
-    # [blo, bhi] within [lo, hi].  So each bracket update moves an edge to
-    # x, and s lies in [alpha, beta] unclipped (a tie can differ from the
-    # clipped value only in the sign of a zero, which Phi and the density
-    # ignore).
-    blo, bhi = _finite_bracket(center, sigma, lo, hi)
-    x = np.clip(x, blo, bhi)
-    inv_norm = sigma * w.mass
-    for _ in range(_TRUNC_NEWTON_STEPS):
-        s = (x - center) / sigma
-        err = w.mass_to(s) / w.mass - p
-        bhi = np.where(err >= 0.0, x, bhi)
-        blo = np.where(err <= 0.0, x, blo)
-        density = _std_pdf(s)
-        step = np.where(density > 0.0, err * inv_norm / np.maximum(density, _TINY), 0.0)
-        candidate = x - step
-        # Closed-interval test: a converged iterate sits on the bracket
-        # edge it just tightened, and must not be bisected away from it.
-        inside = (candidate >= blo) & (candidate <= bhi)
-        x = np.where(inside, candidate, 0.5 * (blo + bhi))
-
-    # Hard edges are exact by contract.
-    x = np.where(p == 0.0, lo, x)
-    x = np.where(p == 1.0, hi, x)
-    return x
 
 
 # np.maximum, np.minimum and np.clip on 0-d input, for Python floats: NaN in
@@ -306,58 +182,139 @@ def _clip(x: float, lo: float, hi: float) -> float:
     return x
 
 
-def _trunc_quantile_scalar(center: float, sigma: float, lo: float, hi: float, p: float):
-    """``_trunc_quantile_core`` for one center and one p, on Python floats.
+# The operations the truncated solvers are written against, as (where,
+# maximum, minimum, clip, ndtr, ndtri): numpy's for arrays, and for Python
+# floats the same selections with the same ufuncs for Phi and its inverse.
+# Python's + - * / and comparisons round as numpy's do, so both give the same
+# bits.  ``special`` is looked up at each call, so a test can stand in for it.
+_ARRAY_OPS = (
+    np.where, np.maximum, np.minimum, np.clip,
+    lambda x: special.ndtr(x), lambda x: special.ndtri(x),
+)
+_FLOAT_OPS = (
+    lambda cond, a, b: a if cond else b, _max, _min, _clip,
+    lambda x: float(special.ndtr(x)), lambda x: float(special.ndtri(x)),
+)
 
-    The vector algorithm step for step, with the same bits: Python + - * /
-    and comparisons round as numpy's do, every transcendental is the same
-    ufunc, looked up through ``special`` and ``np``, and selections become
-    branches.
+
+def _window(center, sigma: float, lo: float, hi: float, ops=_ARRAY_OPS):
+    """A truncation window [lo, hi] standardized about the center.
+
+    Returns (alpha, beta, upper, sign, hi_r, f_lo, offset, mass).
+    ``alpha`` and ``beta`` are (lo - center)/sigma and (hi - center)/sigma.
+    A window wholly above the center (``upper``, alpha > 0) is reflected
+    through it to [lo_r, hi_r] = [-beta, -alpha], so Phi(lo_r) is always the
+    tail at or below 1/2, which keeps relative accuracy; negation is exact.
+    Phi is evaluated once at each reflected endpoint: ``f_lo`` = Phi(lo_r)
+    and ``mass`` = Phi(hi_r) - f_lo.
+
+    ``sign`` is -1 on reflected windows and +1 elsewhere; ``offset`` is
+    -Phi(-alpha) on reflected windows and Phi(alpha) elsewhere.  So for s in
+    [alpha, beta], sign * Phi(sign * s) - offset is Phi(s) - Phi(alpha) with
+    one Phi call; on a reflected window it is -Phi(-s) + Phi(-alpha), the
+    same difference taken on the tail that keeps precision, rounded exactly
+    as Phi(-alpha) - Phi(-s).
     """
-    if not 0.0 <= p <= 1.0:
-        _check_p(p)
+    where, _, _, _, ndtr, _ = ops
     alpha = (lo - center) / sigma
     beta = (hi - center) / sigma
     upper = alpha > 0.0
-    # _window: reflect a window wholly above the center
-    if upper:
-        sign, hi_r, f_lo = -1.0, -alpha, float(special.ndtr(-beta))
-    else:
-        sign, hi_r, f_lo = 1.0, beta, float(special.ndtr(alpha))
-    f_hi = float(special.ndtr(hi_r))
-    offset = -f_hi if upper else f_lo
-    mass = f_hi - f_lo
-    if mass < DEGENERATE_MASS:
-        _check_mass(mass, center, sigma, lo, hi)
+    hi_r = where(upper, -alpha, beta)
+    f_lo = ndtr(where(upper, -beta, alpha))
+    f_hi = ndtr(hi_r)
+    return (alpha, beta, upper, where(upper, -1.0, 1.0), hi_r, f_lo,
+            where(upper, -f_hi, f_lo), f_hi - f_lo)
 
-    f_far = float(special.ndtr(-hi_r))
-    lower_tail = (f_far if upper else f_lo) + p * mass
-    upper_tail = (f_lo if upper else f_far) + (1.0 - p) * mass
+
+def _trunc_mass(center, sigma: float, lo: float, hi: float):
+    return _window(np.asarray(center, dtype=float), sigma, lo, hi)[-1]
+
+
+def _trunc_cdf_core(center, sigma: float, lo: float, hi: float, x):
+    """CDF of N(center, sigma^2) truncated to [lo, hi], vectorized."""
+    center = np.asarray(center, dtype=float)
+    x = np.asarray(x, dtype=float)
+    alpha, beta, _, sign, _, _, offset, mass = _window(center, sigma, lo, hi)
+    _check_mass(mass, center, sigma, lo, hi)
+    s = np.clip((x - center) / sigma, alpha, beta)
+    return np.clip((sign * special.ndtr(sign * s) - offset) / mass, 0.0, 1.0)
+
+
+def _trunc_quantile_core(center, sigma: float, lo: float, hi: float, p):
+    """Quantile of N(center, sigma^2) truncated to [lo, hi].
+
+    Initial estimate: invert the normal CDF on whichever tail of the
+    cumulative target keeps relative accuracy.  Then a fixed number of
+    Newton corrections on the truncated CDF, safeguarded by a shrinking
+    bracket (midpoint fallback when Newton leaves it).
+
+    A 0-d center with a 0-d p, the call a single trajectory makes once per
+    step, is solved on Python floats, without numpy's per-call cost on 0-d
+    arrays, and returned as a numpy float64; any array input, one center
+    with an array of p included, is solved on arrays.  Both run the one
+    algorithm below and give the same bits.
+    """
+    center = np.asarray(center, dtype=float)
+    p = np.asarray(p, dtype=float)
+    if center.ndim == 0 and p.ndim == 0:
+        center, p = float(center), float(p)
+        # the array checks, run only when a float comparison fails
+        if not 0.0 <= p <= 1.0:
+            _check_p(p)
+        window = _window(center, sigma, lo, hi, _FLOAT_OPS)
+        if not window[-1] >= DEGENERATE_MASS:
+            _check_mass(window[-1], center, sigma, lo, hi)
+        return np.float64(_trunc_quantile(center, sigma, lo, hi, p, window, _FLOAT_OPS))
+    _check_p(p)
+    window = _window(center, sigma, lo, hi)
+    _check_mass(window[-1], center, sigma, lo, hi)
+    if center.shape != p.shape:
+        # after the window, which depends on the center alone
+        center, p = np.broadcast_arrays(center, p)
+    return _trunc_quantile(center, sigma, lo, hi, p, window, _ARRAY_OPS)
+
+
+def _trunc_quantile(center, sigma: float, lo: float, hi: float, p, window, ops):
+    """``_trunc_quantile_core`` on a checked ``_window``, with the given ops."""
+    where, maximum, minimum, clip, ndtr, ndtri = ops
+    _, _, upper, sign, hi_r, f_lo, offset, mass = window
+
+    # Cumulative target measured from the lower tail and from the upper
+    # tail; exactly one of the two is <= 1/2 and is safe to invert.  Their
+    # offsets Phi(alpha) and Phi(-beta) are f_lo and Phi(-hi_r), in the
+    # order the reflection put them.
+    f_far = ndtr(-hi_r)
+    lower_tail = where(upper, f_far, f_lo) + p * mass
+    upper_tail = where(upper, f_lo, f_far) + (1.0 - p) * mass
     from_below = lower_tail <= 0.5
-    z = float(special.ndtri(_max(lower_tail if from_below else upper_tail, _TINY)))
-    x = center + sigma * (z if from_below else -z)
+    z = ndtri(maximum(where(from_below, lower_tail, upper_tail), _TINY))
+    x = center + sigma * where(from_below, z, -z)
 
-    blo = _max(lo, center - _Z_RANGE * sigma)
-    bhi = _min(hi, center + _Z_RANGE * sigma)
-    x = _clip(x, blo, bhi)
+    # A non-degenerate window keeps blo <= bhi, and every iterate lies in
+    # [blo, bhi] within [lo, hi].  So each bracket update moves an edge to
+    # x, and s lies in [alpha, beta] unclipped (a tie can differ from the
+    # clipped value only in the sign of a zero, which Phi and the density
+    # ignore).
+    blo = maximum(lo, center - _Z_RANGE * sigma)
+    bhi = minimum(hi, center + _Z_RANGE * sigma)
+    x = clip(x, blo, bhi)
     inv_norm = sigma * mass
     for _ in range(_TRUNC_NEWTON_STEPS):
         s = (x - center) / sigma
-        err = (sign * float(special.ndtr(sign * s)) - offset) / mass - p
-        if err >= 0.0:
-            bhi = x
-        if err <= 0.0:
-            blo = x
-        density = float(_std_pdf(s))
-        step = err * inv_norm / _max(density, _TINY) if density > 0.0 else 0.0
+        err = (sign * ndtr(sign * s) - offset) / mass - p
+        bhi = where(err >= 0.0, x, bhi)
+        blo = where(err <= 0.0, x, blo)
+        density = _std_pdf(s)
+        step = where(density > 0.0, err * inv_norm / maximum(density, _TINY), 0.0)
         candidate = x - step
-        x = candidate if blo <= candidate <= bhi else 0.5 * (blo + bhi)
+        # Closed-interval test: a converged iterate sits on the bracket
+        # edge it just tightened, and must not be bisected away from it.
+        inside = (candidate >= blo) & (candidate <= bhi)
+        x = where(inside, candidate, 0.5 * (blo + bhi))
 
-    if p == 0.0:
-        return lo
-    if p == 1.0:
-        return hi
-    return x
+    # Hard edges are exact by contract.
+    x = where(p == 0.0, lo, x)
+    return where(p == 1.0, hi, x)
 
 
 def _folded_cdf_core(center, sigma: float, x):
@@ -389,7 +346,7 @@ def _folded_quantile_core(center, sigma: float, p, hi=None):
     center = np.asarray(center, dtype=float)
     p = np.asarray(p, dtype=float)
     _check_p(p)
-    if (center < 0.0).any():
+    if not (center >= 0.0).all():
         raise ValueError("folded center must be >= 0")
     if center.shape != p.shape:
         center, p = np.broadcast_arrays(center, p)

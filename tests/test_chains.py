@@ -388,6 +388,23 @@ def test_single_runners_reject_negative_steps(name):
     assert runner(start, 0, ModelParams(10.0), seed=0).steps == 0
 
 
+# the half-line runners, single and ensemble, whose start lies in [0, inf)
+_HALF_LINE_RUNNERS = {
+    "run_y_prime": run_y_prime,
+    "run_z": run_z,
+    "run_y_prime_ensemble": lambda start, *args: run_y_prime_ensemble(start, *args, 4),
+    "run_z_ensemble": lambda start, *args: run_z_ensemble(start, *args, 4),
+    "couple_z_yprime": couple_z_yprime,
+}
+
+
+@pytest.mark.parametrize("start", [math.nan, math.inf])
+@pytest.mark.parametrize("name", sorted(_HALF_LINE_RUNNERS))
+def test_runners_reject_bad_starts(name, start):
+    with pytest.raises(ValueError, match=r"\[0, inf\)"):
+        _HALF_LINE_RUNNERS[name](start, 5, ModelParams(10.0), 0)
+
+
 def test_x_ensemble_matches_marginal_sanity():
     # terminal coordinates stay inside the square and directions were used
     ens = run_x_ensemble((0.0, 0.0), 100, ModelParams(10.0), seed=91, trajectories=5000)

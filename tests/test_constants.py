@@ -63,6 +63,8 @@ def test_erdos_kac_at_one():
 def test_erdos_kac_rejects_negative():
     with pytest.raises(ValueError):
         erdos_kac_cdf(-0.5)
+    with pytest.raises(ValueError):
+        erdos_kac_cdf(math.nan)
 
 
 # ----------------------------------------------------------------------

@@ -56,6 +56,10 @@ def test_monotone_step_rejects_bad_centers():
         monotone_couple_step(0.5, 0.2, 0.5, params)
     with pytest.raises(ValueError):
         monotone_couple_step(-0.1, 0.2, 0.5, params)
+    # NaN lies in no range, as either center
+    for lower, upper in ((math.nan, 0.5), (0.2, math.nan), (np.array([0.1, math.nan]), 0.5)):
+        with pytest.raises(ValueError):
+            monotone_couple_step(lower, upper, 0.5, params)
 
 
 def test_monotone_step_random_triples_never_invert():

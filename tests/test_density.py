@@ -208,6 +208,16 @@ def test_degenerate_truncation_is_an_error():
     # support 1768 sigma away from the center retains < 1e-300 mass
     with pytest.raises(DegenerateTruncationError):
         TruncatedGaussian(0.0, ModelParams(250.0).sigma2, 5.0, 6.0)
+    # a NaN center gives a NaN mass, which no window retains
+    sigma = ModelParams(10.0).sigma
+    for call in (
+        lambda: TruncatedGaussian(math.nan, sigma * sigma, 0.0, 1.0),
+        lambda: density._trunc_quantile_core(np.array([0.5, math.nan]), sigma, 0.0, 1.0, 0.3),
+        lambda: density._trunc_quantile_core(math.nan, sigma, 0.0, 1.0, 0.3),
+        lambda: density._trunc_cdf_core(np.array([0.5, math.nan]), sigma, 0.0, 1.0, 0.3),
+    ):
+        with pytest.raises(DegenerateTruncationError):
+            call()
 
 
 def test_truncated_gaussian_field_validation():
@@ -356,6 +366,9 @@ def test_tail_bound_monotone_and_validated():
         gaussian_tail_bound(0.0, params)
     with pytest.raises(ValueError):
         gaussian_tail_bound(-1.0, params)
+    for bad in (math.nan, np.array([0.2, math.nan])):
+        with pytest.raises(ValueError):
+            gaussian_tail_bound(bad, params)
 
 
 # ----------------------------------------------------------------------
