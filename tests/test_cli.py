@@ -62,6 +62,14 @@ _DIGEST_RUNS = {
     "sim_x_ensemble": ["sim", "--process", "x", "--trajectories", "20", "--steps", "10"],
     "sim_w_ensemble": ["sim", "--process", "w", "--trajectories", "30", "--steps", "25",
                        "--seed", "5"],
+    "sim_xstar": ["sim", "--process", "xstar", "--steps", "15", "--start", "0.3,0.6"],
+    "sim_yprime": ["sim", "--process", "yprime", "--steps", "25", "--start", "2.5"],
+    "sim_z": ["sim", "--process", "z", "--steps", "25", "--seed", "4"],
+    "sim_w": ["sim", "--process", "w", "--steps", "30", "--seed", "2", "--start", "0.8"],
+    "sim_yprime_ensemble": ["sim", "--process", "yprime", "--trajectories", "30",
+                            "--steps", "25", "--start", "0.4", "--seed", "6"],
+    "sim_z_ensemble": ["sim", "--process", "z", "--trajectories", "25", "--steps", "20",
+                       "--start", "1.5", "--threads", "2"],
     "evolve": ["evolve", "--a", "10", "--n", "32", "--steps", "5", "--pgm", "state.pgm"],
     "mix": ["mix", "--a", "10", "--n", "40"],
     "mix_not_converged": ["mix", "--a", "50", "--n", "40", "--max-steps", "5"],
@@ -83,11 +91,17 @@ _DIGESTS = {
     "heatmap_target": "c9dd619d8771ecf6e142493906c20e39e546ceb3879f6da6a6fe6971ba9e213d",
     "mix": "4501e70208b0c12f610aaa27a2f36b65248b9e9332321bcb7b163a475183b887",
     "mix_not_converged": "713f668ca83ed93e181eb11e2cca434ed5355c98d60dbfa8d983e3367efedac9",
+    "sim_w": "f1b3e5d7bfa8c775810d11d3c7526951e6e928daf631b7e5d6722fc37e042859",
     "sim_w_ensemble": "7dfb7c91677dce1731aa7d3e97cb38cc0d204f9e4ebd33013afee7be87b1ef36",
     "sim_x": "6a59af5355510570ce2f3d46ea264a051edb4dd86cbdd2717c66d5a495db6562",
     "sim_x_ensemble": "dd96933f0a758b5d38bc379999a01f4b7003df54b96b553257d3a97ec32f3336",
+    "sim_xstar": "0e6fbce3d0f284bb906d003d6d6258ef6d5fbad71d7fe65933892c9ca546ce03",
     "sim_y": "a772a6278c5a8d910e09394b9f45639771a8f87c3444d9f0cc130f7ac3f33f5a",
     "sim_y_ensemble": "59e289a66dde6a2ef71b0a5f290ecb2abe1e1758580a315baa81eefe20871948",
+    "sim_yprime": "f4e8cb3fe176a2822a998abc5ef22a4a5873621458d6ce70b01d76b6ae1966b3",
+    "sim_yprime_ensemble": "018734483450a99ee58bdd1e3095360b7f5139e1793745528599b87fff0740d1",
+    "sim_z": "0894356501f4498cb3124a7304dfe9868f50cd8b8be001364318142b6165f7d0",
+    "sim_z_ensemble": "9b1099dec2c27e7fb96a800844212833108dde24a3b27d9115c9d148e04c819a",
     "verify": "6d4644065b93c65f0711df1f7f7daa467b963d43ae998671937144508b2af617",
     "verify_fails": "74b54e7b892dbb056646e6adbd1d15d7e82c02d5d52c48ec065c7d122050e0f5",
 }
