@@ -22,6 +22,7 @@ import math
 import os
 import sys
 import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -59,22 +60,72 @@ from .version import __version__
 
 OUT_DIR_ENV = "DIAGONAL_GIBBS_OUT"
 
-_PROCESS_RUNNERS = {
-    "x": run_x,
-    "xstar": run_xstar,
-    "y": run_y,
-    "yprime": run_y_prime,
-    "z": run_z,
-    "w": run_w,
-}
-
-_PROCESS_NAMES = ", ".join(sorted(_PROCESS_RUNNERS))
-_PLANAR = ("x", "xstar")
-_HALF_LINE = ("yprime", "z")
-
 # absolute slack of the d/dbar sandwich and of submultiplicativity: where
 # dbar is at its roundoff floor (about 5e-16), dbar(s) dbar(t) is far below it
 DISTANCE_TOL = 1e-12
+
+
+def _quantiles(values) -> dict:
+    values = np.asarray(values, dtype=float)
+    finite = values[np.isfinite(values)]
+    if finite.size == 0:
+        return {"reached_fraction": 0.0}
+    qs = np.quantile(finite, [0.25, 0.5, 0.75])
+    return {
+        "reached_fraction": float(finite.size / values.size),
+        "q25": float(qs[0]),
+        "median": float(qs[1]),
+        "q75": float(qs[2]),
+    }
+
+
+class _Process(NamedTuple):
+    """A sim process: the one place it is declared."""
+
+    run: Callable  # single trajectory
+    ensemble: tuple | None  # (runner, summary of its NamedTuple); None: no ensemble mode
+    dims: int  # number of --start coordinates
+    upper: float  # upper end of their range
+
+
+_PROCESSES = {
+    "x": _Process(run_x, (run_x_ensemble, lambda ens: {
+        "terminal_u_mean": float(np.mean(ens.u)),
+        "terminal_v_mean": float(np.mean(ens.v)),
+        # a run without steps has no direction fraction; JSON has no NaN
+        "u_direction_fraction": (
+            float(np.sum(ens.u_direction_count) / (ens.steps * ens.u.size)) if ens.steps else None
+        ),
+        "mean_direction_changes": float(np.mean(ens.direction_changes)),
+    }), 2, 1.0),
+    "xstar": _Process(run_xstar, None, 2, 1.0),
+    "y": _Process(run_y, (run_y_ensemble, lambda ens: {
+        "terminal_mean": float(np.mean(ens.terminal)),
+        "nu_m": _quantiles(ens.nu_m),
+        "nu_m_tilde": _quantiles(ens.nu_m_tilde),
+    }), 1, 1.0),
+    "yprime": _Process(run_y_prime, (run_y_prime_ensemble, lambda ens: {
+        "terminal_mean": float(np.mean(ens.terminal)),
+        "nu_m_hat": _quantiles(ens.nu_m_hat),
+    }), 1, math.inf),
+    "z": _Process(run_z, (run_z_ensemble, lambda ens: {
+        "terminal_abs_mean": float(np.mean(ens.terminal_abs)),
+        "terminal_signed_var": float(np.var(ens.terminal_signed)),
+    }), 1, math.inf),
+    "w": _Process(run_w, (run_w_ensemble, lambda ens: {
+        "terminal_mean": float(np.mean(ens.terminal)),
+        "nu_c2": _quantiles(ens.nu_c2),
+        "exit_fraction": float(np.mean(np.isfinite(np.asarray(ens.nu_c2, dtype=float)))),
+    }), 1, 1.0),
+}
+
+
+def _processes(keep, sep: str = "/") -> str:
+    """The names of the processes whose row passes ``keep``, in table order."""
+    return sep.join(name for name, row in _PROCESSES.items() if keep(row))
+
+
+_PROCESS_NAMES = ", ".join(sorted(_PROCESSES))
 
 
 def _count_in(least: int, most: float = math.inf):
@@ -124,76 +175,16 @@ def _file_name(text: str) -> str:
 
 
 def _process(text: str) -> str:
-    if text not in _PROCESS_RUNNERS:
+    if text not in _PROCESSES:
         raise argparse.ArgumentTypeError(f"must be one of {_PROCESS_NAMES}, got {text!r}")
     return text
 
 
-# Each subcommand's flags as (name, type, default, help): the one place a flag
-# is declared.  The type parses the flag and its --config entry alike; the
-# model values a, delta and alpha are checked by ModelParams and
-# ConstantsConfig, before anything is written.
 _A = ("a", float, 10.0, None)
 _DELTA = ("delta", float, 0.05, None)
-_FLAGS = {
-    "sim": (
-        ("process", _process, "x", f"one of {_PROCESS_NAMES}"),
-        _A,
-        _DELTA,
-        ("steps", _NONNEGATIVE, 1000, None),
-        ("seed", _NONNEGATIVE, 0, None),
-        ("trajectories", _POSITIVE, 1, None),
-        ("threads", _POSITIVE, 1, None),
-        ("start", str, None, "scalar for y/yprime/z/w, 'u,v' for x/xstar"),
-    ),
-    "evolve": (
-        _A,
-        _DELTA,
-        ("n", _AT_LEAST_2, 500, None),
-        ("steps", _NONNEGATIVE, 100, None),
-        ("start", str, "0,0", "'u,v' starting point"),
-        ("pgm", _file_name, None, "also export the evolved state as this PGM file in --out-dir"),
-    ),
-    "mix": (
-        _A,
-        _DELTA,
-        ("n", _AT_LEAST_2, 500, None),
-        ("eps", _open_unit, 0.25, "TV threshold in (0, 1)"),
-        ("start", str, "0,0", "'u,v' starting point"),
-        ("max_steps", _NONNEGATIVE, 1_000_000, None),
-    ),
-    "verify": (
-        _A,
-        _DELTA,
-        ("n", _AT_LEAST_2, 500, "grid for the stationarity check"),
-        ("n_pairs", _PAIR_GRID, 100, "grid for d/dbar checks"),
-        ("seed", _NONNEGATIVE, 0, None),
-        ("trajectories", _POSITIVE, 2000, "coupled trajectories for the ordering check"),
-        ("steps", _NONNEGATIVE, 400, "steps per coupled trajectory"),
-        ("threads", _POSITIVE, 1, None),
-        ("grid", _AT_LEAST_2, 200, "points per axis in the dominance sweep"),
-    ),
-    "constants": (
-        ("alpha", float, 0.10, None),
-        ("delta", float, 0.0, None),
-        ("eps_slack", float, 0.0, None),
-    ),
-    "heatmap": (
-        _A,
-        _DELTA,
-        ("n", _AT_LEAST_2, 500, None),
-        ("steps", _NONNEGATIVE, None, "evolve a point mass this many steps; omit for the target"),
-        ("start", str, "0,0", "'u,v' starting point when --steps is given"),
-        ("out", _file_name, "target.pgm", "output PGM file name in --out-dir"),
-    ),
-    "dbar": (
-        _A,
-        _DELTA,
-        ("n", _PAIR_GRID, 100, None),
-        ("s", _NONNEGATIVE, 50, None),
-        ("t", _NONNEGATIVE, 50, None),
-    ),
-}
+_START_HELP = (
+    f"scalar for {_processes(lambda p: p.dims == 1)}, 'u,v' for {_processes(lambda p: p.dims == 2)}"
+)
 
 
 def _parse_start(conf: dict):
@@ -207,22 +198,19 @@ def _parse_start(conf: dict):
     """
     if "start" not in conf:
         return None
-    process = conf.get("process", "x")  # only sim has a process
-    scalar = process not in _PLANAR
+    _, _, dims, upper = _PROCESSES[conf.get("process", "x")]  # only sim has a process
     text = conf["start"]
-    if text is None:
-        return 0.5 if scalar else (0.5, 0.5)
     try:
-        values = [float(part) for part in str(text).split(",")]
+        values = [0.5] * dims if text is None else [float(part) for part in str(text).split(",")]
     except ValueError:
         values = []
-    if len(values) != (1 if scalar else 2):
-        expected = "one number" if scalar else "'u,v'"
+    if len(values) != dims:
+        expected = "one number" if dims == 1 else "'u,v'"
         raise argparse.ArgumentTypeError(f"argument --start: expected {expected}, got {text!r}")
-    upper, interval = (math.inf, "[0, inf)") if process in _HALF_LINE else (1.0, "[0, 1]")
     if not all(math.isfinite(x) and 0.0 <= x <= upper for x in values):
+        interval = "[0, inf)" if upper == math.inf else "[0, 1]"
         raise argparse.ArgumentTypeError(f"argument --start: {text!r} lies outside {interval}")
-    return values[0] if scalar else tuple(values)
+    return values[0] if dims == 1 else tuple(values)
 
 
 def _progress(message: str) -> None:
@@ -247,11 +235,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, handler in _COMMANDS.items():
+    for command, (handler, flags) in _COMMANDS.items():
         p = sub.add_parser(command, help=handler.__doc__)
         p.add_argument("--config", help="JSON file with flag defaults; explicit flags win")
         p.add_argument("--out-dir", dest="out_dir", help=f"output directory (default ${OUT_DIR_ENV} or '.')")
-        for name, kind, _, text in _FLAGS[command]:
+        for name, kind, _, text in flags:
             p.add_argument("--" + name.replace("_", "-"), type=kind, help=text)
     return parser
 
@@ -263,8 +251,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
     a null entry keeps the default.  A bad value, or a key that names no flag
     of the subcommand, raises ArgumentTypeError (a usage error in ``main``).
     """
-    kinds = {name: kind for name, kind, _, _ in _FLAGS[args.command]}
-    resolved = {name: default for name, _, default, _ in _FLAGS[args.command]}
+    kinds = {name: kind for name, kind, _, _ in _COMMANDS[args.command][1]}
+    resolved = {name: default for name, _, default, _ in _COMMANDS[args.command][1]}
     if args.config:
         with open(args.config) as fh:
             file_conf = json.load(fh)
@@ -297,67 +285,15 @@ def _cmd_sim(conf: dict, params: ModelParams, start) -> dict:
 
     if trajectories <= 1:
         _progress(f"simulating {process} for {steps} steps")
-        record = _PROCESS_RUNNERS[process](start, steps, params, seed)
+        record = _PROCESSES[process].run(start, steps, params, seed)
         record.to_csv(os.path.join(conf["out_dir"], "trajectory.csv"))
         return record.summary()
 
     _progress(f"simulating {trajectories} {process} trajectories x {steps} steps")
-    return _run_ensemble(process, start, steps, params, seed, trajectories, conf["threads"])
-
-
-def _quantiles(values: np.ndarray) -> dict:
-    finite = values[np.isfinite(values)]
-    if finite.size == 0:
-        return {"reached_fraction": 0.0}
-    qs = np.quantile(finite, [0.25, 0.5, 0.75])
-    return {
-        "reached_fraction": float(finite.size / values.size),
-        "q25": float(qs[0]),
-        "median": float(qs[1]),
-        "q75": float(qs[2]),
-    }
-
-
-def _run_ensemble(process, start, steps, params, seed, trajectories, threads) -> dict:
-    base = {
-        "process": process,
-        "a": params.a,
-        "delta": params.delta,
-        "steps": steps,
-        "seed": seed,
-        "trajectories": trajectories,
-    }
-    if process in _PLANAR:
-        ens = run_x_ensemble(start, steps, params, seed, trajectories, threads)
-        base["terminal_u_mean"] = float(np.mean(ens.u))
-        base["terminal_v_mean"] = float(np.mean(ens.v))
-        # a run without steps has no direction fraction; JSON has no NaN
-        base["u_direction_fraction"] = (
-            float(np.sum(ens.u_direction_count) / (steps * trajectories)) if steps else None
-        )
-        base["mean_direction_changes"] = float(np.mean(ens.direction_changes))
-        return base
-    if process == "y":
-        ens = run_y_ensemble(start, steps, params, seed, trajectories, threads)
-        base["terminal_mean"] = float(np.mean(ens.terminal))
-        base["nu_m"] = _quantiles(np.asarray(ens.nu_m, dtype=float))
-        base["nu_m_tilde"] = _quantiles(np.asarray(ens.nu_m_tilde, dtype=float))
-        return base
-    if process == "yprime":
-        ens = run_y_prime_ensemble(start, steps, params, seed, trajectories, threads)
-        base["terminal_mean"] = float(np.mean(ens.terminal))
-        base["nu_m_hat"] = _quantiles(np.asarray(ens.nu_m_hat, dtype=float))
-        return base
-    if process == "z":
-        ens = run_z_ensemble(start, steps, params, seed, trajectories, threads)
-        base["terminal_abs_mean"] = float(np.mean(ens.terminal_abs))
-        base["terminal_signed_var"] = float(np.var(ens.terminal_signed))
-        return base
-    ens = run_w_ensemble(start, steps, params, seed, trajectories, threads)
-    base["terminal_mean"] = float(np.mean(ens.terminal))
-    base["nu_c2"] = _quantiles(np.asarray(ens.nu_c2, dtype=float))
-    base["exit_fraction"] = float(np.mean(np.isfinite(np.asarray(ens.nu_c2, dtype=float))))
-    return base
+    run, summary = _PROCESSES[process].ensemble
+    ens = run(start, steps, params, seed, trajectories, conf["threads"])
+    return {"process": process, "a": params.a, "delta": params.delta, "steps": steps,
+            "seed": seed, "trajectories": trajectories, **summary(ens)}
 
 
 def _cmd_evolve(conf: dict, params: ModelParams, start) -> dict:
@@ -483,16 +419,69 @@ def _cmd_dbar(conf: dict, params: ModelParams, _start) -> dict:
     return {"a": params.a, "n": n, "s": s, "t": t, **_distance_checks(s, t, params, n)}
 
 
-# subcommand -> handler (conf, model, start) -> result payload; each
-# handler's docstring is its --help line
+# Each subcommand as its handler (conf, model, start) -> result payload, whose
+# docstring is its --help line, and its flags as (name, type, default, help):
+# the one place a subcommand or flag is declared.  The type parses the flag and
+# its --config entry alike; the model values a, delta and alpha are checked by
+# ModelParams and ConstantsConfig, before anything is written.
 _COMMANDS = {
-    "sim": _cmd_sim,
-    "evolve": _cmd_evolve,
-    "mix": _cmd_mix,
-    "verify": _cmd_verify,
-    "constants": _cmd_constants,
-    "heatmap": _cmd_heatmap,
-    "dbar": _cmd_dbar,
+    "sim": (_cmd_sim, (
+        ("process", _process, "x", f"one of {_PROCESS_NAMES}"),
+        _A,
+        _DELTA,
+        ("steps", _NONNEGATIVE, 1000, None),
+        ("seed", _NONNEGATIVE, 0, None),
+        ("trajectories", _POSITIVE, 1, None),
+        ("threads", _POSITIVE, 1, None),
+        ("start", str, None, _START_HELP),
+    )),
+    "evolve": (_cmd_evolve, (
+        _A,
+        _DELTA,
+        ("n", _AT_LEAST_2, 500, None),
+        ("steps", _NONNEGATIVE, 100, None),
+        ("start", str, "0,0", "'u,v' starting point"),
+        ("pgm", _file_name, None, "also export the evolved state as this PGM file in --out-dir"),
+    )),
+    "mix": (_cmd_mix, (
+        _A,
+        _DELTA,
+        ("n", _AT_LEAST_2, 500, None),
+        ("eps", _open_unit, 0.25, "TV threshold in (0, 1)"),
+        ("start", str, "0,0", "'u,v' starting point"),
+        ("max_steps", _NONNEGATIVE, 1_000_000, None),
+    )),
+    "verify": (_cmd_verify, (
+        _A,
+        _DELTA,
+        ("n", _AT_LEAST_2, 500, "grid for the stationarity check"),
+        ("n_pairs", _PAIR_GRID, 100, "grid for d/dbar checks"),
+        ("seed", _NONNEGATIVE, 0, None),
+        ("trajectories", _POSITIVE, 2000, "coupled trajectories for the ordering check"),
+        ("steps", _NONNEGATIVE, 400, "steps per coupled trajectory"),
+        ("threads", _POSITIVE, 1, None),
+        ("grid", _AT_LEAST_2, 200, "points per axis in the dominance sweep"),
+    )),
+    "constants": (_cmd_constants, (
+        ("alpha", float, 0.10, None),
+        ("delta", float, 0.0, None),
+        ("eps_slack", float, 0.0, None),
+    )),
+    "heatmap": (_cmd_heatmap, (
+        _A,
+        _DELTA,
+        ("n", _AT_LEAST_2, 500, None),
+        ("steps", _NONNEGATIVE, None, "evolve a point mass this many steps; omit for the target"),
+        ("start", str, "0,0", "'u,v' starting point when --steps is given"),
+        ("out", _file_name, "target.pgm", "output PGM file name in --out-dir"),
+    )),
+    "dbar": (_cmd_dbar, (
+        _A,
+        _DELTA,
+        ("n", _PAIR_GRID, 100, None),
+        ("s", _NONNEGATIVE, 50, None),
+        ("t", _NONNEGATIVE, 50, None),
+    )),
 }
 
 
@@ -507,10 +496,10 @@ def main(argv=None) -> int:
         else:
             model = ModelParams(conf["a"], conf["delta"])
         start = _parse_start(conf)
-        if conf.get("process") == "xstar" and conf["trajectories"] > 1:
-            raise argparse.ArgumentTypeError(
-                "argument --trajectories: ensemble mode supports x, y, yprime, z, w"
-            )
+        # only sim has a process; x, which has an ensemble mode, stands in elsewhere
+        if conf.get("trajectories", 1) > 1 and _PROCESSES[conf.get("process", "x")].ensemble is None:
+            supported = _processes(lambda p: p.ensemble, ", ")
+            raise argparse.ArgumentTypeError(f"argument --trajectories: ensemble mode supports {supported}")
         # last, so that a run rejected above leaves no directory behind
         out_dir = conf["out_dir"]
         os.makedirs(out_dir, exist_ok=True)
@@ -519,7 +508,7 @@ def main(argv=None) -> int:
     manifest = {"command": args.command, "config": conf, "version": __version__}
     _write_json(os.path.join(out_dir, "manifest.json"), manifest)
     try:
-        payload = _COMMANDS[args.command](conf, model, start)
+        payload = _COMMANDS[args.command][0](conf, model, start)
     except MixingNotConverged as exc:  # raised by mix only
         diagnostics = os.path.join(out_dir, "diagnostics.json")
         _write_json(diagnostics, {

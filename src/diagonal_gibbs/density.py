@@ -79,6 +79,12 @@ class ModelParams:
     def __post_init__(self):
         if not (self.a > 0.0 and math.isfinite(self.a)):
             raise ModelParamsError(f"a must be positive and finite, got {self.a!r}")
+        # sigma2 = 1/(2 a^2) must be a positive finite double, which holds for
+        # a in about [5.3e-155, 9.4e153]; the divisor is tested first, as it
+        # underflows to 0 for a below about 1e-162
+        twice_a2 = 2.0 * self.a * self.a
+        if not (twice_a2 > 0.0 and 0.0 < 1.0 / twice_a2 < math.inf):
+            raise ModelParamsError(f"a = {self.a!r} puts the variance 1/(2 a^2) outside (0, inf)")
         if not (0.0 < self.delta < 0.5):
             raise ModelParamsError(f"delta must lie in (0, 1/2), got {self.delta!r}")
 

@@ -189,6 +189,8 @@ def _start_cell(u: float, v: float, n: int) -> tuple[int, int]:
 
 def point_mass(u: float, v: float, n: int) -> GridDistribution:
     """Point mass on the cell containing (u, v)."""
+    if n < 1:
+        raise GridError(f"grid size must be positive, got {n}")
     weights = np.zeros((n, n), dtype=float)
     weights[_start_cell(u, v, n)] = 1.0
     return GridDistribution(n=n, weights=weights)

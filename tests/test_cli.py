@@ -506,6 +506,8 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         # model values and other inputs out of range
         ["sim", "--delta", "2"],
         ["sim", "--a", "inf"],
+        ["mix", "--a", "1e-200"],  # 1/(2 a^2) overflows to inf
+        ["sim", "--a", "1e200"],  # 1/(2 a^2) underflows to 0
         ["constants", "--delta", "-1"],
         ["constants", "--eps-slack", "-5"],
         ["constants", "--eps-slack", "inf"],

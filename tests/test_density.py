@@ -79,6 +79,10 @@ def test_model_params_validation():
         ModelParams(-3.0)
     with pytest.raises(ModelParamsError):
         ModelParams(float("nan"))
+    # a whose step variance 1/(2 a^2) is 0 (2 a^2 overflows) or infinite
+    for a in (1e200, 1e-200):
+        with pytest.raises(ModelParamsError):
+            ModelParams(a)
     with pytest.raises(ModelParamsError):
         ModelParams(10.0, delta=0.0)
     with pytest.raises(ModelParamsError):

@@ -45,6 +45,9 @@ def test_grid_distribution_validation():
         GridDistribution(4, np.full((3, 3), 1.0 / 9.0))  # shape mismatch
     with pytest.raises(GridError):
         GridDistribution(5, np.full(5, 0.2))  # a length-n law
+    for n in (0, -3):
+        with pytest.raises(GridError):
+            point_mass(0.5, 0.5, n)
     GridDistribution(2, np.full((2, 2), 0.25))
 
 
