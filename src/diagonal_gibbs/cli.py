@@ -12,6 +12,15 @@ Each handler returns its result payload and writes only its side files
 and standard output, and picks the exit code: 0 success, 1 a payload whose
 ``passed`` is false (a verification failure), 2 usage error, 3 numerical
 non-convergence (diagnostics file written next to the manifest).
+
+Two tables declare the interface, each fact once.  ``_COMMANDS`` has one row
+per subcommand: its handler, whose docstring is the --help line, and its
+flags as (name, type, default, help); the parser, the --config merge and
+``main`` read it.  ``_PROCESSES`` has one row per ``sim`` process: its
+single-run runner, its ensemble runner with the summary of its result (or
+None without an ensemble mode), and the number and upper end of its --start
+coordinates; ``--process``, --start parsing, the ensemble check and the
+``sim`` handler read it.
 """
 
 from __future__ import annotations
