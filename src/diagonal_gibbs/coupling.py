@@ -15,6 +15,10 @@ is a deterministic function of one stream:
                otherwise redraws from its truncated conditional.  The paths
                agree exactly until the free walk first exits [0,1] (nu_c2).
 
+In both Y couplings the fresh uniform is drawn for every trajectory, so
+the streams do not depend on which trajectories redraw, but Y's [0,1]
+quantile is solved only for the trajectories that take the redraw.
+
 Each pair is written once as a ``chains._Process``: ``draw`` returns one
 step's shared randomness in stream order, ``step`` moves both chains of
 the pair, held side by side in one state dict, and the decoupling times
@@ -225,8 +229,17 @@ def verify_dominance_inequality(grid_v: int, grid_u: int, params: ModelParams) -
 
 
 # ======================================================================
-# shared half-line draw coupling Y / YPrime
+# shared-increment coupling Y / W
 # ======================================================================
+
+def _redraw_where(take, base, centers, uniforms, sigma: float):
+    """``base`` with Y's [0, 1]-truncated draw from ``centers`` and
+    ``uniforms`` put in where ``take`` holds; only those draws are solved."""
+    out = base.copy()
+    index = np.flatnonzero(take)
+    out[index] = _trunc_quantile_core(centers[index], sigma, 0.0, 1.0, uniforms[index])
+    return out
+
 
 def couple_y_w(
     start: float,
@@ -259,8 +272,7 @@ def couple_y_w(
         s["w"] = s["w"] + zeta
         y_cand = s["y"] + zeta
         inside = (y_cand >= 0.0) & (y_cand <= 1.0)
-        redraw = _trunc_quantile_core(s["y"], sigma, 0.0, 1.0, fresh)
-        s["y"] = np.where(inside, y_cand, redraw)
+        s["y"] = _redraw_where(~inside, y_cand, s["y"], fresh, sigma)
 
     y, w, nu_c2 = _run_ensemble(
         _Process(draw, step, {"nu_c2": _outside_unit}), {"w": w0, "y": w0},
@@ -268,6 +280,10 @@ def couple_y_w(
     )
     return _report("Y_W", params, seed, steps, trajectories, y, w, nu_c2, nu_c2=nu_c2)
 
+
+# ======================================================================
+# shared half-line draw coupling Y / YPrime
+# ======================================================================
 
 def couple_y_yprime(
     start: float,
@@ -300,8 +316,8 @@ def couple_y_yprime(
         coupled = s["coupled"]
         s["yp"] = _trunc_quantile_core(s["yp"], sigma, 0.0, np.inf, shared)
         overshoot = coupled & (s["yp"] >= 1.0)
-        redraw = _trunc_quantile_core(s["y"], sigma, 0.0, 1.0, np.where(coupled, fresh, shared))
-        s["y"] = np.where(overshoot | ~coupled, redraw, s["yp"])
+        s["y"] = _redraw_where(overshoot | ~coupled, s["yp"], s["y"],
+                               np.where(coupled, fresh, shared), sigma)
         s["coupled"] = coupled & ~overshoot
 
     hits = {"nu_c1": lambda s: ~s["coupled"], "nu_m_tilde": _reached_middle(params)}

@@ -21,6 +21,12 @@ initial estimate and each Newton step, which then costs one Phi call.  The
 test suite checks the results bit for bit against a reference that
 evaluates both sides of every branch.
 
+The folded quantile's Newton steps stop, element by element, at the first
+step that returns an element's iterate with the same bits: from there each
+step repeats the same err and the same idempotent bracket update, so no
+later step can move a bit of it.  The step count is only a cap, which the
+test suite checks against a reference that always runs every step.
+
 The truncated quantile is one algorithm, written against six operations
 (where, maximum, minimum, clip, Phi and its inverse), that runs on either
 kind of input.  Arrays get numpy's operations.  A 0-d center with a 0-d p,
@@ -48,7 +54,8 @@ DEGENERATE_MASS = 1e-300
 # Newton refinement counts for the quantile solvers.  The truncated solver
 # starts from an inverse-normal estimate that is already correct to a few
 # ulps, so two polish steps suffice.  The folded solver starts from a cruder
-# guess and gets a longer budget.
+# guess and gets a longer budget, a cap: each element leaves the loop at its
+# fixed point, after which further steps would return the same bits.
 _TRUNC_NEWTON_STEPS = 2
 _FOLDED_NEWTON_STEPS = 8
 
@@ -373,21 +380,35 @@ def _folded_quantile_core(center, sigma: float, p, hi=None):
     # each bracket update moves an edge to x, _folded_cdf_core's clamp of x
     # at 0 and its zero below 0 are identities, and the CDF cannot exceed 1;
     # only its floor at 0 is kept.
+    #
+    # A step that returns an element's iterate with the same bits repeats
+    # its err, sets each bracket edge it moves to that iterate again (an
+    # idempotent update), and so returns it once more: the element is at
+    # its fixed point and leaves the active set, whose iterates ``out``
+    # holds at flat ``index``.
+    x = out = x.reshape(-1)
+    index = np.arange(out.size)
+    center, q, blo, bhi = (np.ravel(v) for v in (center, p, blo, bhi))
     for _ in range(_FOLDED_NEWTON_STEPS):
         z_minus = (x - center) / sigma
         z_plus = (x + center) / sigma
         cdf = np.maximum(special.ndtr(z_minus) - special.ndtr(-z_plus), 0.0)
-        err = cdf - p
+        err = cdf - q
         bhi = np.where(err >= 0.0, x, bhi)
         blo = np.where(err <= 0.0, x, blo)
         density = (_std_pdf(z_minus) + _std_pdf(z_plus)) / sigma
         step = np.where(density > 0.0, err / np.maximum(density, _TINY), 0.0)
         candidate = x - step
         inside = (candidate >= blo) & (candidate <= bhi)
-        x = np.where(inside, candidate, 0.5 * (blo + bhi))
+        new = np.where(inside, candidate, 0.5 * (blo + bhi))
+        # compared before the write-back, as the first x is ``out`` itself
+        moving = np.flatnonzero(new.view(np.int64) != x.view(np.int64))
+        out[index] = new
+        if moving.size == 0:
+            break
+        index, x, center, q, blo, bhi = (v[moving] for v in (index, new, center, q, blo, bhi))
 
-    x = np.where(p == 0.0, 0.0, x)
-    return x
+    return np.where(p == 0.0, 0.0, out.reshape(p.shape))
 
 
 def _as_float_or_array(x, arr):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from diagonal_gibbs import chains, coupling, density
 from diagonal_gibbs import (
     FoldedGaussian,
     ModelParams,
@@ -257,3 +258,117 @@ def test_decoupling_times_within_horizon():
     report = couple_y_w(0.5, 500, params, seed=84, trajectories=3000)
     for t in report.decoupling_times:
         assert t is None or 0 <= t <= 500
+
+
+# ----------------------------------------------------------------------
+# Y's [0, 1] redraws, solved only where they are taken
+# ----------------------------------------------------------------------
+
+# Full-width steps that solve Y's [0, 1] quantile for every trajectory and
+# select afterwards, as both couplings did before solving only the redraws
+# they take.  Each also counts those redraws.
+
+def _full_width_y_w(start, steps, params, seed, trajectories, threads):
+    sigma = params.sigma
+
+    def draw(rng, width):
+        return sigma * rng.standard_normal(width), rng.random(width)
+
+    def step(s, draws, t):
+        zeta, fresh = draws
+        s["w"] = s["w"] + zeta
+        y_cand = s["y"] + zeta
+        inside = (y_cand >= 0.0) & (y_cand <= 1.0)
+        redraw = density._trunc_quantile_core(s["y"], sigma, 0.0, 1.0, fresh)
+        s["y"] = np.where(inside, y_cand, redraw)
+        s["redraws"] += ~inside
+
+    return chains._run_ensemble(
+        chains._Process(draw, step, {"nu_c2": chains._outside_unit}),
+        {"w": start, "y": start, "redraws": 0}, ("y", "w", "nu_c2", "redraws"),
+        steps, seed, trajectories, threads,
+    )
+
+
+def _full_width_y_yprime(start, steps, params, seed, trajectories, threads):
+    sigma = params.sigma
+
+    def draw(rng, width):
+        return rng.random(width), rng.random(width)
+
+    def step(s, draws, t):
+        shared, fresh = draws
+        coupled = s["coupled"]
+        s["yp"] = density._trunc_quantile_core(s["yp"], sigma, 0.0, np.inf, shared)
+        overshoot = coupled & (s["yp"] >= 1.0)
+        redraw = density._trunc_quantile_core(s["y"], sigma, 0.0, 1.0,
+                                              np.where(coupled, fresh, shared))
+        s["y"] = np.where(overshoot | ~coupled, redraw, s["yp"])
+        s["coupled"] = coupled & ~overshoot
+        s["redraws"] += overshoot | ~coupled
+
+    hits = {"nu_c1": lambda s: ~s["coupled"], "nu_m_tilde": chains._reached_middle(params)}
+    return chains._run_ensemble(
+        chains._Process(draw, step, hits), {"y": start, "yp": start, "coupled": True, "redraws": 0},
+        ("y", "yp", "nu_c1", "nu_m_tilde", "redraws"), steps, seed, trajectories, threads,
+    )
+
+
+def _assert_same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# a = 1 redraws on most pair-steps, a = 250 in 5 steps never does; the second
+# chunk holds 1000 trajectories
+@pytest.mark.parametrize("a, steps", [(1.0, 30), (10.0, 30), (250.0, 5)])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_redraw_couplings_match_full_width_steps(a, steps, threads):
+    params = ModelParams(a)
+    trajectories = chains._CHUNK + 1000
+    pair_steps = trajectories * steps
+    y, w, nu_c2, w_redraws = _full_width_y_w(0.5, steps, params, 91, trajectories, threads)
+    report = couple_y_w(0.5, steps, params, 91, trajectories, threads)
+    _assert_same_bits(report.terminal_first, y)
+    _assert_same_bits(report.terminal_second, w)
+    _assert_same_bits(report.aux["nu_c2"], nu_c2)
+
+    y, yp, nu_c1, nu_m_tilde, yp_redraws = _full_width_y_yprime(
+        0.1, steps, params, 92, trajectories, threads)
+    report = couple_y_yprime(0.1, steps, params, 92, trajectories, threads)
+    _assert_same_bits(report.terminal_first, y)
+    _assert_same_bits(report.terminal_second, yp)
+    _assert_same_bits(report.aux["nu_c1"], nu_c1)
+    _assert_same_bits(report.aux["nu_m_tilde"], nu_m_tilde)
+
+    taken = (w_redraws.sum(), yp_redraws.sum())
+    if a == 1.0:
+        assert min(taken) > pair_steps / 2
+    elif a == 250.0:
+        assert max(taken) == 0
+
+
+@pytest.mark.parametrize("a", [1.0, 10.0])
+def test_redraw_couplings_solve_only_taken_draws(monkeypatch, a):
+    # elements handed to Y's [0, 1] solver, against the redraws the pair took
+    solved = []
+
+    def counting(center, sigma, lo, hi, p):
+        if hi == 1.0:
+            solved.append(np.size(p))
+        return density._trunc_quantile_core(center, sigma, lo, hi, p)
+
+    monkeypatch.setattr(coupling, "_trunc_quantile_core", counting)
+    params = ModelParams(a)
+    steps, trajectories = 40, 3000
+    couple_y_w(0.5, steps, params, 93, trajectories)
+    redraws = _full_width_y_w(0.5, steps, params, 93, trajectories, 1)[-1]
+    assert 0 < sum(solved) == redraws.sum() < steps * trajectories
+
+    # Y/YPrime redraws at its decoupling step nu_c1 and at every step after
+    solved.clear()
+    report = couple_y_yprime(0.1, steps, params, 94, trajectories)
+    nu_c1 = report.aux["nu_c1"]
+    taken = np.sum(steps + 1 - nu_c1[~np.isnan(nu_c1)])
+    assert 0 < sum(solved) == taken < steps * trajectories
