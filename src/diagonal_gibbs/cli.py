@@ -18,9 +18,9 @@ per subcommand: its handler, whose docstring is the --help line, and its
 flags as (name, type, default, help); the parser, the --config merge and
 ``main`` read it.  ``_PROCESSES`` has one row per ``sim`` process: its
 single-run runner, its ensemble runner with the summary of its result (or
-None without an ensemble mode), and the number and upper end of its --start
-coordinates; ``--process``, --start parsing, the ensemble check and the
-``sim`` handler read it.
+None without an ensemble mode), the number and upper end of its --start
+coordinates, and whether it draws truncated to [0, 1]; ``--process``, --start
+parsing, the ensemble check, the --a check and the ``sim`` handler read it.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .chains import (
 )
 from .constants import ConstantsConfig, constants_report
 from .coupling import DOMINANCE_TOL, couple_z_yprime, verify_dominance_inequality
-from .density import ModelParams
+from .density import DegenerateTruncationError, ModelParams, TruncatedGaussian
 from .grid import (
     CORNER_BOXES,
     DBAR_MAX_N,
@@ -95,6 +95,7 @@ class _Process(NamedTuple):
     ensemble: tuple | None  # (runner, summary of its NamedTuple); None: no ensemble mode
     dims: int  # number of --start coordinates
     upper: float  # upper end of their range
+    truncated: bool  # draws from N(center, sigma^2) truncated to [0, 1]
 
 
 _PROCESSES = {
@@ -106,26 +107,26 @@ _PROCESSES = {
             float(np.sum(ens.u_direction_count) / (ens.steps * ens.u.size)) if ens.steps else None
         ),
         "mean_direction_changes": float(np.mean(ens.direction_changes)),
-    }), 2, 1.0),
-    "xstar": _Process(run_xstar, None, 2, 1.0),
+    }), 2, 1.0, True),
+    "xstar": _Process(run_xstar, None, 2, 1.0, True),
     "y": _Process(run_y, (run_y_ensemble, lambda ens: {
         "terminal_mean": float(np.mean(ens.terminal)),
         "nu_m": _quantiles(ens.nu_m),
         "nu_m_tilde": _quantiles(ens.nu_m_tilde),
-    }), 1, 1.0),
+    }), 1, 1.0, True),
     "yprime": _Process(run_y_prime, (run_y_prime_ensemble, lambda ens: {
         "terminal_mean": float(np.mean(ens.terminal)),
         "nu_m_hat": _quantiles(ens.nu_m_hat),
-    }), 1, math.inf),
+    }), 1, math.inf, False),
     "z": _Process(run_z, (run_z_ensemble, lambda ens: {
         "terminal_abs_mean": float(np.mean(ens.terminal_abs)),
         "terminal_signed_var": float(np.var(ens.terminal_signed)),
-    }), 1, math.inf),
+    }), 1, math.inf, False),
     "w": _Process(run_w, (run_w_ensemble, lambda ens: {
         "terminal_mean": float(np.mean(ens.terminal)),
         "nu_c2": _quantiles(ens.nu_c2),
         "exit_fraction": float(np.mean(np.isfinite(np.asarray(ens.nu_c2, dtype=float)))),
-    }), 1, 1.0),
+    }), 1, 1.0, False),
 }
 
 
@@ -207,7 +208,7 @@ def _parse_start(conf: dict):
     """
     if "start" not in conf:
         return None
-    _, _, dims, upper = _PROCESSES[conf.get("process", "x")]  # only sim has a process
+    _, _, dims, upper, _ = _PROCESSES[conf.get("process", "x")]  # only sim has a process
     text = conf["start"]
     try:
         values = [0.5] * dims if text is None else [float(part) for part in str(text).split(",")]
@@ -220,6 +221,19 @@ def _parse_start(conf: dict):
         interval = "[0, inf)" if upper == math.inf else "[0, 1]"
         raise argparse.ArgumentTypeError(f"argument --start: {text!r} lies outside {interval}")
     return values[0] if dims == 1 else tuple(values)
+
+
+def _check_unit_window(params: ModelParams) -> None:
+    """Reject an a so small that the [0, 1] window's mass Phi(beta) - Phi(alpha)
+    cancels to 0, as it does near sigma = 7e16.
+
+    Both ends round to 1/2 first at center 1/3, since the floats just below
+    1/2 lie twice as close together as those just above it.
+    """
+    try:
+        TruncatedGaussian(1.0 / 3.0, params.sigma2, 0.0, 1.0)
+    except DegenerateTruncationError as exc:
+        raise argparse.ArgumentTypeError(f"argument --a: {params.a:g} is too small: {exc}") from exc
 
 
 def _progress(message: str) -> None:
@@ -506,9 +520,12 @@ def main(argv=None) -> int:
             model = ModelParams(conf["a"], conf["delta"])
         start = _parse_start(conf)
         # only sim has a process; x, which has an ensemble mode, stands in elsewhere
-        if conf.get("trajectories", 1) > 1 and _PROCESSES[conf.get("process", "x")].ensemble is None:
+        process = _PROCESSES[conf.get("process", "x")]
+        if conf.get("trajectories", 1) > 1 and process.ensemble is None:
             supported = _processes(lambda p: p.ensemble, ", ")
             raise argparse.ArgumentTypeError(f"argument --trajectories: ensemble mode supports {supported}")
+        if "process" in conf and process.truncated:
+            _check_unit_window(model)
         # last, so that a run rejected above leaves no directory behind
         out_dir = conf["out_dir"]
         os.makedirs(out_dir, exist_ok=True)

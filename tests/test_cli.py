@@ -89,8 +89,8 @@ _DIGESTS = {
     "evolve": "46a344e130bbbd382c3604e7a9a0a6260854ddce491dfb83b8021d067028779f",
     "heatmap_evolved": "8a3f7cff7587accd46e1f084c51f20f5d3ce873f22b1abea4b41db2b03ddec72",
     "heatmap_target": "c9dd619d8771ecf6e142493906c20e39e546ceb3879f6da6a6fe6971ba9e213d",
-    "mix": "4501e70208b0c12f610aaa27a2f36b65248b9e9332321bcb7b163a475183b887",
-    "mix_not_converged": "713f668ca83ed93e181eb11e2cca434ed5355c98d60dbfa8d983e3367efedac9",
+    "mix": "83cf8bfb77df362168ad8f8eac679901f23b242da19cd03e8681016932ca20c5",
+    "mix_not_converged": "d1cf6a04fcb0c669dde5ced6fe5eb9aea3a68eda675c92140198583473f27681",
     "sim_w": "f1b3e5d7bfa8c775810d11d3c7526951e6e928daf631b7e5d6722fc37e042859",
     "sim_w_ensemble": "7dfb7c91677dce1731aa7d3e97cb38cc0d204f9e4ebd33013afee7be87b1ef36",
     "sim_x": "6a59af5355510570ce2f3d46ea264a051edb4dd86cbdd2717c66d5a495db6562",
@@ -508,6 +508,9 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         ["sim", "--a", "inf"],
         ["mix", "--a", "1e-200"],  # 1/(2 a^2) overflows to inf
         ["sim", "--a", "1e200"],  # 1/(2 a^2) underflows to 0
+        # a [0, 1] truncation whose mass cancels to 0 (sigma about 7e16)
+        ["sim", "--a", "1e-17"],
+        ["sim", "--process", "y", "--trajectories", "3", "--a", "1e-17"],
         ["constants", "--delta", "-1"],
         ["constants", "--eps-slack", "-5"],
         ["constants", "--eps-slack", "inf"],
@@ -560,6 +563,14 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         assert exc.value.code == 2, content
     assert not (tmp_path / "bad").exists()
     assert not (tmp_path / "x.pgm").exists()
+    capsys.readouterr()
+
+
+def test_tiny_a_still_runs_the_untruncated_processes(tmp_path, capsys):
+    # no [0, 1] truncation, so the a that sim x, xstar and y reject runs here
+    for process in ("yprime", "z", "w"):
+        argv = ["sim", "--process", process, "--a", "1e-17", "--steps", "3"]
+        assert main(argv + ["--out-dir", str(tmp_path / process)]) == 0
     capsys.readouterr()
 
 

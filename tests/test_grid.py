@@ -9,10 +9,16 @@ never uses quadrature.
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import diagonal_gibbs
+from diagonal_gibbs import grid
 from diagonal_gibbs import (
     CORNER_BOXES,
     GridDistribution,
@@ -295,6 +301,115 @@ def test_mixing_not_converged_carries_curve():
             find_mixing_time((0.0, 0.0), 0.25, ModelParams(50.0), 100, max_steps)
         assert len(err.value.tv_curve) == max_steps + 1
         assert err.value.tv_curve[-1] > 0.25
+
+
+def test_mixing_times_exact_at_n500():
+    # the headline searches stop at exactly these steps
+    assert find_mixing_time((0.0, 0.0), 0.25, ModelParams(10.0), 500, 2000).t_mix == 71
+    assert find_mixing_time((0.0, 0.0), 0.25, ModelParams(50.0), 500, 5000).t_mix == 1852
+
+
+def _dense_tv_to_target(joint, xy):
+    """Reference TV over every cell, in 64-row blocks."""
+    x = 0.5 * xy[:, 0] - 1.0
+    y = 0.5 * xy[:, 1]
+    total = 0.0
+    for lo in range(0, len(x), 64):
+        gap = np.abs(np.add.outer(x[lo : lo + 64], y))
+        total += float(np.vdot(joint[lo : lo + 64], gap))
+    return 0.5 * total
+
+
+@pytest.mark.parametrize("a", [10.0, 50.0, 250.0])
+def test_tv_band_matches_dense_oracle(a):
+    # the search's band sum tracks the sum over every cell along 2000 steps
+    n = 500
+    joint = build_discretized_target(ModelParams(a), n).weights
+    marginal = joint.sum(axis=0)
+    band = grid._tv_band(a, n)
+    rc = np.zeros((n, 2))
+    rc[0, 0] = rc[0, 1] = 1.0
+    worst = 0.0
+    for _ in range(2000):
+        xy = grid._step(joint, marginal, rc)
+        worst = max(worst, abs(grid._tv_to_target(joint, xy, band) - _dense_tv_to_target(joint, xy)))
+    assert worst <= 1e-11
+
+
+@pytest.mark.parametrize("n", [80, 500, 2000])
+@pytest.mark.parametrize("a", [10.0, 50.0, 250.0])
+def test_tv_band_leaves_out_only_negligible_cells(a, n):
+    # true cell masses at 40 digits: offset k holds H(x+) - 2 H(x) + H(x-),
+    # x = a k / n, with H(x) = (exp(-x^2) - sqrt(pi) x erfc(x)) / (2 a^2);
+    # the erf form of the same second difference cancels even at 60 digits
+    import mpmath
+
+    band = grid._tv_band(a, n)
+    assert band < n - 1
+    with mpmath.workdps(40):
+        big_a = mpmath.mpf(a)
+
+        def h_at(k):
+            x = big_a * k / n
+            return (mpmath.exp(-x * x) - mpmath.sqrt(mpmath.pi) * x * mpmath.erfc(x)) / (2 * big_a**2)
+
+        # offset 0 adds back the linear term sqrt(pi) z / (2 a) the erfc form drops
+        peak = 2 * (mpmath.sqrt(mpmath.pi) / (2 * big_a * n) + h_at(1) - h_at(0))
+        hs = [h_at(k) for k in range(band, n + 1)]
+        outside = [hs[i + 1] - 2 * hs[i] + hs[i - 1] for i in range(1, len(hs) - 1)]
+    assert min(outside) > 0
+    assert max(outside) < 1e-17 * peak
+
+
+class _CountingNumpy:
+    """numpy, counting the elements that its dot reductions read."""
+
+    def __init__(self):
+        self.seen = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def vdot(self, a, b):
+        self.seen += np.size(a)
+        return np.vdot(a, b)
+
+    def einsum(self, subscripts, *operands):
+        self.seen += np.size(operands[0])
+        return np.einsum(subscripts, *operands)
+
+
+def test_tv_sum_reads_only_the_band(monkeypatch):
+    # each curve point reduces at most (rows + 2 K) n elements, not n^2
+    a, n, steps = 250.0, 500, 20
+    counting = _CountingNumpy()
+    monkeypatch.setattr(grid, "np", counting)
+    with pytest.raises(MixingNotConverged):
+        find_mixing_time((0.0, 0.0), 0.25, ModelParams(a), n, steps)
+    assert 0 < counting.seen <= steps * (grid._TV_ROWS + 2 * grid._tv_band(a, n)) * n
+
+
+_CURVE_HASHES = """
+import hashlib
+from diagonal_gibbs import ModelParams, find_mixing_time
+for a in (10.0, 50.0):
+    curve = find_mixing_time((0.0, 0.0), 0.25, ModelParams(a), 500, 5000).tv_curve
+    print(a, hashlib.sha256(curve.tobytes()).hexdigest())
+"""
+
+
+def test_tv_curve_independent_of_blas_threads():
+    package_root = str(Path(diagonal_gibbs.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    hashes = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run(
+            [sys.executable, "-c", _CURVE_HASHES], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        hashes.append(proc.stdout)
+    assert hashes[0] == hashes[1]
 
 
 def test_mixing_result_serialization(tmp_path):
