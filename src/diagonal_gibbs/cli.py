@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands cover trajectory simulation, exact grid evolution, mixing-time
-search, the verification suite, constants evaluation, heatmap export, and
-worst-case pair distances.  Every run writes ``manifest.json`` into the
+search, the verification suite, constants evaluation, target heatmap export,
+and worst-case pair distances.  Every run writes ``manifest.json`` into the
 output directory with the fully resolved configuration; two runs with
 identical manifests produce byte-identical outputs.  Machine-readable
 results go to standard output, progress chatter to standard error.
@@ -16,11 +16,12 @@ non-convergence (diagnostics file written next to the manifest).
 Two tables declare the interface, each fact once.  ``_COMMANDS`` has one row
 per subcommand: its handler, whose docstring is the --help line, and its
 flags as (name, type, default, help); the parser, the --config merge and
-``main`` read it.  ``_PROCESSES`` has one row per ``sim`` process: its
-single-run runner, its ensemble runner with the summary of its result (or
-None without an ensemble mode), the number and upper end of its --start
-coordinates, and whether it draws truncated to [0, 1]; ``--process``, --start
-parsing, the ensemble check, the --a check and the ``sim`` handler read it.
+``main`` read it, together with ``_OUT_DIR``, the flag every subcommand has.
+``_PROCESSES`` has one row per ``sim`` process: its single-run runner, its
+ensemble runner with the summary of its result (or None without an ensemble
+mode), the number and upper end of its --start coordinates, and whether it
+draws truncated to [0, 1]; ``--process``, --start parsing, the ensemble
+check, the --a check and the ``sim`` handler read it.
 """
 
 from __future__ import annotations
@@ -191,7 +192,7 @@ def _process(text: str) -> str:
 
 
 _A = ("a", float, 10.0, None)
-_DELTA = ("delta", float, 0.05, None)
+_OUT_DIR = ("out_dir", str, None, f"output directory (default ${OUT_DIR_ENV} or '.')")
 _START_HELP = (
     f"scalar for {_processes(lambda p: p.dims == 1)}, 'u,v' for {_processes(lambda p: p.dims == 2)}"
 )
@@ -261,8 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     for command, (handler, flags) in _COMMANDS.items():
         p = sub.add_parser(command, help=handler.__doc__)
         p.add_argument("--config", help="JSON file with flag defaults; explicit flags win")
-        p.add_argument("--out-dir", dest="out_dir", help=f"output directory (default ${OUT_DIR_ENV} or '.')")
-        for name, kind, _, text in flags:
+        for name, kind, _, text in (_OUT_DIR, *flags):
             p.add_argument("--" + name.replace("_", "-"), type=kind, help=text)
     return parser
 
@@ -273,9 +273,13 @@ def resolve_config(args: argparse.Namespace) -> dict:
     A file entry is parsed by its flag's type, so it passes the same checks;
     a null entry keeps the default.  A bad value, or a key that names no flag
     of the subcommand, raises ArgumentTypeError (a usage error in ``main``).
+    --out-dir is a flag of every subcommand, so a run's manifest config
+    replays as a --config file; set by neither, the output directory is
+    $DIAGONAL_GIBBS_OUT, then '.'.
     """
-    kinds = {name: kind for name, kind, _, _ in _COMMANDS[args.command][1]}
-    resolved = {name: default for name, _, default, _ in _COMMANDS[args.command][1]}
+    flags = (_OUT_DIR, *_COMMANDS[args.command][1])
+    kinds = {name: kind for name, kind, _, _ in flags}
+    resolved = {name: default for name, _, default, _ in flags}
     if args.config:
         with open(args.config) as fh:
             file_conf = json.load(fh)
@@ -297,7 +301,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
         cli_value = getattr(args, name)
         if cli_value is not None:
             resolved[name] = cli_value
-    resolved["out_dir"] = args.out_dir or os.environ.get(OUT_DIR_ENV) or "."
+    resolved["out_dir"] = resolved["out_dir"] or os.environ.get(OUT_DIR_ENV) or "."
     return resolved
 
 
@@ -419,20 +423,13 @@ def _cmd_constants(_conf: dict, config: ConstantsConfig, _start) -> dict:
     return constants_report(config)
 
 
-def _cmd_heatmap(conf: dict, params: ModelParams, start) -> dict:
-    """export the target (or an evolved state) as 16-bit PGM"""
+def _cmd_heatmap(conf: dict, params: ModelParams, _start) -> dict:
+    """export the discretized target as 16-bit PGM (evolve --pgm exports an evolved state)"""
     n = conf["n"]
-    if conf["steps"] is None:
-        _progress(f"exporting the discretized target at a={params.a}, n={n}")
-        dist = build_discretized_target(params, n)
-        steps = None
-    else:
-        u0, v0 = start
-        steps = conf["steps"]
-        _progress(f"evolving ({u0}, {v0}) for {steps} steps before export")
-        dist = evolve_2d(point_mass(u0, v0, n), steps, params)
-    export_heatmap(dist, os.path.join(conf["out_dir"], conf["out"]), params)
-    return {"a": params.a, "n": n, "steps": steps, "pgm": conf["out"]}
+    _progress(f"exporting the discretized target at a={params.a}, n={n}")
+    target = build_discretized_target(params, n)
+    export_heatmap(target, os.path.join(conf["out_dir"], conf["out"]), params)
+    return {"a": params.a, "n": n, "pgm": conf["out"]}
 
 
 def _cmd_dbar(conf: dict, params: ModelParams, _start) -> dict:
@@ -451,7 +448,7 @@ _COMMANDS = {
     "sim": (_cmd_sim, (
         ("process", _process, "x", f"one of {_PROCESS_NAMES}"),
         _A,
-        _DELTA,
+        ("delta", float, ModelParams.delta, None),
         ("steps", _NONNEGATIVE, 1000, None),
         ("seed", _NONNEGATIVE, 0, None),
         ("trajectories", _POSITIVE, 1, None),
@@ -460,7 +457,6 @@ _COMMANDS = {
     )),
     "evolve": (_cmd_evolve, (
         _A,
-        _DELTA,
         ("n", _AT_LEAST_2, 500, None),
         ("steps", _NONNEGATIVE, 100, None),
         ("start", str, "0,0", "'u,v' starting point"),
@@ -468,7 +464,6 @@ _COMMANDS = {
     )),
     "mix": (_cmd_mix, (
         _A,
-        _DELTA,
         ("n", _AT_LEAST_2, 500, None),
         ("eps", _open_unit, 0.25, "TV threshold in (0, 1)"),
         ("start", str, "0,0", "'u,v' starting point"),
@@ -476,7 +471,6 @@ _COMMANDS = {
     )),
     "verify": (_cmd_verify, (
         _A,
-        _DELTA,
         ("n", _AT_LEAST_2, 500, "grid for the stationarity check"),
         ("n_pairs", _PAIR_GRID, 100, "grid for d/dbar checks"),
         ("seed", _NONNEGATIVE, 0, None),
@@ -492,15 +486,11 @@ _COMMANDS = {
     )),
     "heatmap": (_cmd_heatmap, (
         _A,
-        _DELTA,
         ("n", _AT_LEAST_2, 500, None),
-        ("steps", _NONNEGATIVE, None, "evolve a point mass this many steps; omit for the target"),
-        ("start", str, "0,0", "'u,v' starting point when --steps is given"),
         ("out", _file_name, "target.pgm", "output PGM file name in --out-dir"),
     )),
     "dbar": (_cmd_dbar, (
         _A,
-        _DELTA,
         ("n", _PAIR_GRID, 100, None),
         ("s", _NONNEGATIVE, 50, None),
         ("t", _NONNEGATIVE, 50, None),
@@ -517,7 +507,7 @@ def main(argv=None) -> int:
         if args.command == "constants":
             model = ConstantsConfig(conf["alpha"], conf["delta"], conf["eps_slack"])
         else:
-            model = ModelParams(conf["a"], conf["delta"])
+            model = ModelParams(conf["a"], conf.get("delta", ModelParams.delta))
         start = _parse_start(conf)
         # only sim has a process; x, which has an ensemble mode, stands in elsewhere
         process = _PROCESSES[conf.get("process", "x")]

@@ -50,6 +50,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special
 
 from .density import ModelParams, SQRT_PI
@@ -173,8 +174,10 @@ def _normalized_joint(params: ModelParams, n: int) -> np.ndarray:
     if n < 2:
         raise GridError(f"grid needs at least 2 cells per axis, got {n}")
     m = _cell_masses(params.a, n)
-    idx = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-    joint = m[idx]
+    # J_ij = m[|i - j|]: row i is the window of (m_{n-1}, ..., m_1, m_0, m_1,
+    # ..., m_{n-1}) that starts at n - 1 - i; copying the windows needs no
+    # n x n index array, so building J peaks at J's own size
+    joint = sliding_window_view(np.concatenate((m[:0:-1], m)), n)[::-1].copy()
     joint /= joint.sum()
     return joint
 

@@ -77,20 +77,17 @@ _DIGEST_RUNS = {
     "verify_fails": _SMALL_VERIFY,  # run with _failing_dbar
     "constants": ["constants", "--alpha", "0.2", "--delta", "0.05"],
     "heatmap_target": ["heatmap", "--a", "10", "--n", "24", "--out", "t.pgm"],
-    "heatmap_evolved": ["heatmap", "--a", "10", "--n", "24", "--steps", "3",
-                        "--start", "0.5,0.1"],
     "dbar": ["dbar", "--a", "10", "--n", "20", "--s", "5", "--t", "7"],
 }
 
 # sha256 of exit code, stdout and every file written, per run
 _DIGESTS = {
     "constants": "95f2c5e06dadeb43f6be67b6f49cd471dabcc4d1516d6ad1e31e534a0d5dd4b9",
-    "dbar": "91f3085ada711d7dde9985fc9a6b81b2c5a25b6f0e63d4401562e881f02cc52b",
-    "evolve": "46a344e130bbbd382c3604e7a9a0a6260854ddce491dfb83b8021d067028779f",
-    "heatmap_evolved": "8a3f7cff7587accd46e1f084c51f20f5d3ce873f22b1abea4b41db2b03ddec72",
-    "heatmap_target": "c9dd619d8771ecf6e142493906c20e39e546ceb3879f6da6a6fe6971ba9e213d",
-    "mix": "83cf8bfb77df362168ad8f8eac679901f23b242da19cd03e8681016932ca20c5",
-    "mix_not_converged": "d1cf6a04fcb0c669dde5ced6fe5eb9aea3a68eda675c92140198583473f27681",
+    "dbar": "62d91b99633d25fa8b7daa8bc89ea89f86f9a8d16c757d5a94b662e9cb204479",
+    "evolve": "82490847c261bd0b31ccac2c8f2fb51e90af0447844a7307ae474804f6753d18",
+    "heatmap_target": "c162fc163de4b39e087adb522630c057a71424b85cb59be14a0c7206f5ce9890",
+    "mix": "d27cf4310e31e45a307d2f099b54d93f327441f7f2bfcf673ce166b6cc5382bd",
+    "mix_not_converged": "0a7d388a9fdf881d6468fe27df5de0a0fb6f30750f161c54f99c1098bb943914",
     "sim_w": "f1b3e5d7bfa8c775810d11d3c7526951e6e928daf631b7e5d6722fc37e042859",
     "sim_w_ensemble": "7dfb7c91677dce1731aa7d3e97cb38cc0d204f9e4ebd33013afee7be87b1ef36",
     "sim_x": "6a59af5355510570ce2f3d46ea264a051edb4dd86cbdd2717c66d5a495db6562",
@@ -102,8 +99,8 @@ _DIGESTS = {
     "sim_yprime_ensemble": "018734483450a99ee58bdd1e3095360b7f5139e1793745528599b87fff0740d1",
     "sim_z": "0894356501f4498cb3124a7304dfe9868f50cd8b8be001364318142b6165f7d0",
     "sim_z_ensemble": "9b1099dec2c27e7fb96a800844212833108dde24a3b27d9115c9d148e04c819a",
-    "verify": "6d4644065b93c65f0711df1f7f7daa467b963d43ae998671937144508b2af617",
-    "verify_fails": "74b54e7b892dbb056646e6adbd1d15d7e82c02d5d52c48ec065c7d122050e0f5",
+    "verify": "5fc52bdbb5018e40465cc393c2e0ac379319290a7a0f43e6cbdc5cd2e8a8bc5b",
+    "verify_fails": "4cef6ae494e612c533272ad0ff480f133e734923accb5902f25697f3dc888ffa",
 }
 
 
@@ -318,6 +315,22 @@ def test_evolve_reports_distances_and_exports_pgm(tmp_path, capsys):
     assert (tmp_path / "state.pgm.json").exists()
 
 
+def test_evolve_pgm_is_the_former_heatmap_evolved_export(tmp_path, capsys):
+    # the bytes `heatmap --a 10 --n 24 --steps 3 --start 0.5,0.1` wrote when
+    # heatmap could still export an evolved state
+    code, _, _ = run_cli(
+        ["evolve", "--a", "10", "--n", "24", "--steps", "3", "--start", "0.5,0.1",
+         "--pgm", "target.pgm", "--out-dir", str(tmp_path)],
+        capsys,
+    )
+    assert code == 0
+    for name, digest in (
+        ("target.pgm", "2e01f681a885cc47b1dc075fabbaae366e87966e5b1dae5e901f9903cd1cfa95"),
+        ("target.pgm.json", "a31bbe770459307efc9092d3cc0854cf30d5c3a57adfbe9173023f9d16c87e18"),
+    ):
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
 def test_heatmap_target_pgm_and_sidecar(tmp_path, capsys):
     code, out, _ = run_cli(
         ["heatmap", "--a", "10", "--n", "48", "--out", "t.pgm",
@@ -325,7 +338,7 @@ def test_heatmap_target_pgm_and_sidecar(tmp_path, capsys):
         capsys,
     )
     assert code == 0
-    assert json.loads(out)["steps"] is None
+    assert json.loads(out) == {"a": 10.0, "n": 48, "pgm": "t.pgm"}
     header = b"P5\n48 48\n65535\n"
     blob = (tmp_path / "t.pgm").read_bytes()
     assert blob.startswith(header)
@@ -424,20 +437,44 @@ def test_out_dir_env_var(tmp_path, capsys, monkeypatch):
     assert read_json(tmp_path / "manifest.json")["config"]["out_dir"] == str(tmp_path)
 
 
+@pytest.mark.parametrize("argv, side_files", [
+    (["sim", "--process", "y", "--steps", "5"], ["trajectory.csv"]),
+    (["mix", "--a", "10", "--n", "40"], ["tv_curve.csv"]),
+])
+def test_manifest_config_replays(tmp_path, capsys, monkeypatch, argv, side_files):
+    first = tmp_path / "first"
+    assert run_cli(argv + ["--out-dir", str(first)], capsys)[0] == 0
+    conf_path = tmp_path / "conf.json"
+    conf_path.write_text(json.dumps(read_json(first / "manifest.json")["config"]))
+    replay = [argv[0], "--config", str(conf_path)]
+
+    # the --out-dir flag wins over the file's out_dir
+    again = tmp_path / "again"
+    code, out, _ = run_cli(replay + ["--out-dir", str(again)], capsys)
+    assert code == 0
+    assert json.loads(out) == read_json(first / "result.json")
+    for name in ["result.json"] + side_files:
+        assert (again / name).read_bytes() == (first / name).read_bytes(), name
+
+    # the file's out_dir wins over the environment
+    monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path / "env"))
+    (first / "result.json").unlink()
+    assert run_cli(replay, capsys)[0] == 0
+    assert (first / "result.json").exists()
+    assert not (tmp_path / "env").exists()
+
+
 # resolved configuration of a default run, recorded before the flag table
 _DEFAULT_CONFIGS = {
     "sim": {"a": 10.0, "delta": 0.05, "process": "x", "seed": 0, "start": None,
             "steps": 1000, "threads": 1, "trajectories": 1},
-    "evolve": {"a": 10.0, "delta": 0.05, "n": 500, "pgm": None, "start": "0,0",
-               "steps": 100},
-    "mix": {"a": 10.0, "delta": 0.05, "eps": 0.25, "max_steps": 1000000, "n": 500,
-            "start": "0,0"},
-    "verify": {"a": 10.0, "delta": 0.05, "grid": 200, "n": 500, "n_pairs": 100,
+    "evolve": {"a": 10.0, "n": 500, "pgm": None, "start": "0,0", "steps": 100},
+    "mix": {"a": 10.0, "eps": 0.25, "max_steps": 1000000, "n": 500, "start": "0,0"},
+    "verify": {"a": 10.0, "grid": 200, "n": 500, "n_pairs": 100,
                "seed": 0, "steps": 400, "threads": 1, "trajectories": 2000},
     "constants": {"alpha": 0.1, "delta": 0.0, "eps_slack": 0.0},
-    "heatmap": {"a": 10.0, "delta": 0.05, "n": 500, "out": "target.pgm",
-                "start": "0,0", "steps": None},
-    "dbar": {"a": 10.0, "delta": 0.05, "n": 100, "s": 50, "t": 50},
+    "heatmap": {"a": 10.0, "n": 500, "out": "target.pgm"},
+    "dbar": {"a": 10.0, "n": 100, "s": 50, "t": 50},
 }
 
 
@@ -502,7 +539,11 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         ["sim", "--process", "z", "--start", "nan"],
         ["mix", "--start", "2,3"],
         ["evolve", "--start=-1,0"],
-        ["heatmap", "--steps", "1", "--start", "0,1.5"],
+        # --delta outside sim and constants, and heatmap's former evolve inputs
+        ["mix", "--delta", "0.1"],
+        ["dbar", "--delta", "0.1"],
+        ["heatmap", "--steps", "3"],
+        ["heatmap", "--start", "0,0"],
         # model values and other inputs out of range
         ["sim", "--delta", "2"],
         ["sim", "--a", "inf"],
@@ -556,10 +597,11 @@ def test_usage_errors_exit_2(tmp_path, capsys):
               "--out-dir", str(tmp_path / "bad")])
     assert exc.value.code == 2
     # a --config key that names no flag of the subcommand, or no JSON object
-    for content in ({"stepz": 5, "a": 12}, [1, 2]):
+    for command, content in (("sim", {"stepz": 5, "a": 12}), ("sim", [1, 2]),
+                             ("verify", {"delta": 0.1})):
         conf_path.write_text(json.dumps(content))
         with pytest.raises(SystemExit) as exc:
-            main(["sim", "--config", str(conf_path), "--out-dir", str(tmp_path / "bad")])
+            main([command, "--config", str(conf_path), "--out-dir", str(tmp_path / "bad")])
         assert exc.value.code == 2, content
     assert not (tmp_path / "bad").exists()
     assert not (tmp_path / "x.pgm").exists()

@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -107,6 +108,33 @@ def test_target_corner_set_has_stationary_mass():
 def test_target_requires_valid_n():
     with pytest.raises(GridError):
         build_discretized_target(ModelParams(10.0), 1)
+
+
+def _joint_by_index(params, n):
+    # the reference: gather the cell masses through the n x n array |i - j|
+    m = grid._cell_masses(params.a, n)
+    joint = m[np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])]
+    joint /= joint.sum()
+    return joint
+
+
+@pytest.mark.parametrize("a", [0.5, 10.0, 50.0, 250.0])
+@pytest.mark.parametrize("n", [2, 3, 7, 80, 500, 1001])
+def test_joint_bit_equal_to_index_construction(a, n):
+    joint = grid._normalized_joint(ModelParams(a), n)
+    assert joint.flags.c_contiguous
+    assert joint.tobytes() == _joint_by_index(ModelParams(a), n).tobytes()
+
+
+def test_joint_peak_memory_is_about_its_own_size():
+    n = 1000
+    tracemalloc.start()
+    try:
+        joint = grid._normalized_joint(ModelParams(10.0), n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * joint.nbytes
 
 
 # ----------------------------------------------------------------------
