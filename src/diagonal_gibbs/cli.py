@@ -329,7 +329,7 @@ def _cmd_evolve(conf: dict, params: ModelParams, start) -> dict:
     u0, v0 = start
 
     _progress(f"evolving point mass at ({u0}, {v0}) for {steps} steps on the {n}x{n} grid")
-    t0 = time.time()
+    t0 = time.perf_counter()
     dist = evolve_2d(point_mass(u0, v0, n), steps, params)
     target = build_discretized_target(params, n)
     result = {
@@ -341,7 +341,7 @@ def _cmd_evolve(conf: dict, params: ModelParams, start) -> dict:
         "corner_set_mass": set_probability(dist, CORNER_BOXES),
         "corner_set_mass_target": set_probability(target, CORNER_BOXES),
     }
-    _progress(f"done in {time.time() - t0:.1f}s")
+    _progress(f"done in {time.perf_counter() - t0:.1f}s")
     if conf["pgm"]:
         export_heatmap(dist, os.path.join(conf["out_dir"], conf["pgm"]), params)
         result["pgm"] = conf["pgm"]
@@ -351,9 +351,9 @@ def _cmd_evolve(conf: dict, params: ModelParams, start) -> dict:
 def _cmd_mix(conf: dict, params: ModelParams, start) -> dict:
     """first time the evolved distribution is within eps of the target"""
     _progress(f"searching mixing time at a={params.a}, n={conf['n']}, eps={conf['eps']}")
-    t0 = time.time()
+    t0 = time.perf_counter()
     result = find_mixing_time(start, conf["eps"], params, conf["n"], conf["max_steps"])
-    _progress(f"t_mix = {result.t_mix} in {time.time() - t0:.1f}s")
+    _progress(f"t_mix = {result.t_mix} in {time.perf_counter() - t0:.1f}s")
     result.tv_curve_csv(os.path.join(conf["out_dir"], "tv_curve.csv"))
     return result.as_dict()
 

@@ -35,9 +35,17 @@ about 6e-18 of the peak cell's; K = min(n - 1, ceil(Z n / a) + 1) keeps every
 other offset.  What J stores past the band is second-difference roundoff,
 about 1e-13 of the peak, and is left in J on purpose: the target, the step,
 the kernel and d/dbar read J as it is, and their outputs stay bit for bit
-those of the full matrix.  Dropping those cells moves the TV curve by at most
-4e-12 at n = 500 (a = 10, 50 and 250), far inside the crossing margins of
-t_mix (3e-5 at a = 50, 5e-8 at a = 250).
+those of the full matrix.
+
+J is Toeplitz bit for bit, J_{i, i+d} = J_{|d|, 0}, so the sum runs along
+J's diagonals: with g = x / 2 - 1 and h = y / 2 it is
+1/2 sum_d J_{|d|, 0} sum_i |g_i + h_{i+d}|.  Row d of the layout is the
+window of a zero-padded copy of h that starts at offset d, so it is
+contiguous, and a weight block built once per search holds J_{|d|, 0}
+wherever 0 <= i + d < n and 0 past J's edge.  The band sum moves the TV
+curve by at most 4e-12 from the sum over every cell at n = 500 (a = 10, 50
+and 250, from the corner and off the diagonal), far inside the crossing
+margins of t_mix (3e-5 at a = 50, 5e-8 at a = 250).
 
 The worst-case distances d and dbar act on the 1-D kernel K alone and take
 its powers K^t by repeated squaring (``np.linalg.matrix_power``).
@@ -214,11 +222,13 @@ def point_mass(u: float, v: float, n: int) -> GridDistribution:
 # evolution
 # ======================================================================
 
-# The TV sum runs over blocks of this many rows, so it never forms an
-# n x n temporary.  A block costs a fixed overhead plus its rows x (rows + 2K)
-# elements, so the best height does not depend on the band K; at n = 500, 64
-# rows beat 32, 48, 96 and 128 at K = 14, 64 and the full row alike.
-_TV_ROWS = 64
+# The band sum splits its 2K + 1 offsets evenly into blocks of at most this
+# many, and at most n so that no block is larger than J, each cut to the cells
+# its offsets reach.  At n = 500 and a = 10 (K = 316) one uncut block of all
+# 633 offsets reads 316500 elements a point, 1.5x the band's 216328 cells, and
+# was slower than five cut blocks, which read 252113.  Splitting evenly keeps
+# a = 50 (K = 64) from a last block of one offset.
+_TV_OFFSETS = 128
 
 # Z of the mixing search's TV band (module docstring): past the band a cell
 # holds less than exp(-Z^2), about 6e-18, of the peak cell's true mass.
@@ -248,24 +258,46 @@ def _step(joint: np.ndarray, marginal: np.ndarray, rc: np.ndarray) -> np.ndarray
     return xy
 
 
-def _tv_to_target(joint: np.ndarray, xy: np.ndarray, band: int) -> float:
-    """TV between ``J_ij (x_i + y_j) / 2`` and J over the cells with
-    |i - j| <= ``band``.
+def _band_tv(joint: np.ndarray, band: int):
+    """The TV between ``J_ij (x_i + y_j) / 2`` and J over the cells with
+    |i - j| <= ``band``, as a function of the ratios ``xy = [x y]``.
 
-    Each block of rows is reduced over its window of columns, the full row
-    once ``band >= n - 1``.  ``einsum`` reduces it in one thread: a BLAS dot
-    splits long blocks across its threads, and the split moves the last bits.
+    Lays out the band along J's diagonals once (module docstring); each call
+    then writes g and h into the layout and reduces each block by ``einsum``
+    in one thread: a BLAS dot splits long blocks across its threads, and the
+    split moves the last bits.
     """
-    x = 0.5 * xy[:, 0] - 1.0
-    y = 0.5 * xy[:, 1]
-    n = len(x)
-    total = 0.0
-    for lo in range(0, n, _TV_ROWS):
-        hi = lo + _TV_ROWS
-        cols = slice(max(0, lo - band), min(n, hi + band))
-        gap = np.add.outer(x[lo:hi], y[cols])
-        total += float(np.einsum("ij,ij->", joint[lo:hi, cols], np.abs(gap, out=gap)))
-    return 0.5 * total
+    n = len(joint)
+    h = np.zeros(n + 2 * band)
+    g = np.empty(n)
+    offsets = np.arange(-band, band + 1)
+    # array_split puts the longest blocks first, and none is wider than n
+    splits = np.array_split(offsets, -(-offsets.size // min(_TV_OFFSETS, n)))
+    buffer = np.empty(splits[0].size * n)
+    blocks = []
+    for block in splits:
+        lo, hi = block[0], block[-1]
+        c0, c1 = max(0, -hi), min(n, n - lo)
+        # masks of bools, not blocks of int64 cell indices: what the search
+        # frees stays in the heap, and int64 blocks raised the peak RSS of a
+        # later n x n step in the same process by 0.4 MB at n = 500
+        cells = np.arange(c0, c1)
+        inside = (cells >= -block[:, np.newaxis]) & (cells < n - block[:, np.newaxis])
+        weights = joint[np.abs(block), :1] * inside
+        windows = sliding_window_view(h, c1 - c0)[band + c0 + lo : band + c0 + hi + 1]
+        gap = buffer[: weights.size].reshape(weights.shape)
+        blocks.append((windows, g[c0:c1], gap, weights))
+
+    def tv(xy: np.ndarray) -> float:
+        h[band : band + n] = 0.5 * xy[:, 1]
+        g[:] = 0.5 * xy[:, 0] - 1.0
+        total = 0.0
+        for windows, g_cols, gap, weights in blocks:
+            np.add(windows, g_cols, out=gap)
+            total += float(np.einsum("ij,ij->", weights, np.abs(gap, out=gap)))
+        return 0.5 * total
+
+    return tv
 
 
 def evolve_2d(dist: GridDistribution, steps: int, params: ModelParams) -> GridDistribution:
@@ -311,7 +343,7 @@ def find_mixing_time(
         raise GridError(f"max_steps must be >= 0, got {max_steps}")
     joint = _normalized_joint(params, n)
     marginal = joint.sum(axis=0)
-    band = _tv_band(params.a, n)
+    tv_to_target = _band_tv(joint, _tv_band(params.a, n))
     i, j = _start_cell(start[0], start[1], n)
     rc = np.zeros((n, 2))
     rc[i, 0] = rc[j, 1] = 1.0
@@ -324,7 +356,7 @@ def find_mixing_time(
                 f"(a={params.a}, n={n})",
                 np.array(curve),
             )
-        curve.append(_tv_to_target(joint, _step(joint, marginal, rc), band))
+        curve.append(tv_to_target(_step(joint, marginal, rc)))
     return MixingResult(params.a, n, epsilon, tuple(start), len(curve) - 1, np.array(curve))
 
 

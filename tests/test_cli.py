@@ -86,8 +86,8 @@ _DIGESTS = {
     "dbar": "62d91b99633d25fa8b7daa8bc89ea89f86f9a8d16c757d5a94b662e9cb204479",
     "evolve": "82490847c261bd0b31ccac2c8f2fb51e90af0447844a7307ae474804f6753d18",
     "heatmap_target": "c162fc163de4b39e087adb522630c057a71424b85cb59be14a0c7206f5ce9890",
-    "mix": "d27cf4310e31e45a307d2f099b54d93f327441f7f2bfcf673ce166b6cc5382bd",
-    "mix_not_converged": "0a7d388a9fdf881d6468fe27df5de0a0fb6f30750f161c54f99c1098bb943914",
+    "mix": "5284e97d9b2090339a0c49acb5ccb78d1f22335b7fefd9e0ef67335482f8daaa",
+    "mix_not_converged": "94d56ff01d9f93d33c244b6e2b5f28f6ec49a8f5100164075da0586d67a8cded",
     "sim_w": "f1b3e5d7bfa8c775810d11d3c7526951e6e928daf631b7e5d6722fc37e042859",
     "sim_w_ensemble": "7dfb7c91677dce1731aa7d3e97cb38cc0d204f9e4ebd33013afee7be87b1ef36",
     "sim_x": "6a59af5355510570ce2f3d46ea264a051edb4dd86cbdd2717c66d5a495db6562",

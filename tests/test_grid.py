@@ -350,18 +350,31 @@ def _dense_tv_to_target(joint, xy):
 
 @pytest.mark.parametrize("a", [10.0, 50.0, 250.0])
 def test_tv_band_matches_dense_oracle(a):
-    # the search's band sum tracks the sum over every cell along 2000 steps
+    # the search's band sum tracks the sum over every cell along 2000 steps;
+    # the corner start keeps x = y, so only the start off the diagonal shows
+    # a layout that reads x where it should read y
     n = 500
     joint = build_discretized_target(ModelParams(a), n).weights
     marginal = joint.sum(axis=0)
-    band = grid._tv_band(a, n)
-    rc = np.zeros((n, 2))
-    rc[0, 0] = rc[0, 1] = 1.0
-    worst = 0.0
-    for _ in range(2000):
-        xy = grid._step(joint, marginal, rc)
-        worst = max(worst, abs(grid._tv_to_target(joint, xy, band) - _dense_tv_to_target(joint, xy)))
-    assert worst <= 1e-11
+    tv_to_target = grid._band_tv(joint, grid._tv_band(a, n))
+    for start in [(0.0, 0.0), (0.0, 0.3)]:
+        i, j = grid._start_cell(*start, n)
+        rc = np.zeros((n, 2))
+        rc[i, 0] = rc[j, 1] = 1.0
+        worst = 0.0
+        for _ in range(2000):
+            xy = grid._step(joint, marginal, rc)
+            worst = max(worst, abs(tv_to_target(xy) - _dense_tv_to_target(joint, xy)))
+        assert worst <= 1e-11, start
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 80, 500])
+@pytest.mark.parametrize("a", [0.5, 10.0, 50.0, 250.0])
+def test_joint_is_toeplitz_bit_for_bit(a, n):
+    # the band sum weights every cell of a diagonal by J's one value there
+    joint = grid._normalized_joint(ModelParams(a), n)
+    for d in range(-(n - 1), n):
+        assert np.all(np.diagonal(joint, d) == joint[abs(d), 0])
 
 
 @pytest.mark.parametrize("n", [80, 500, 2000])
@@ -394,13 +407,20 @@ class _CountingNumpy:
 
     def __init__(self):
         self.seen = 0
+        self.blas_calls = 0
 
     def __getattr__(self, name):
         return getattr(np, name)
 
     def vdot(self, a, b):
         self.seen += np.size(a)
+        self.blas_calls += 1
         return np.vdot(a, b)
+
+    def dot(self, a, b, *args):
+        self.seen += np.size(a)
+        self.blas_calls += 1
+        return np.dot(a, b, *args)
 
     def einsum(self, subscripts, *operands):
         self.seen += np.size(operands[0])
@@ -408,13 +428,17 @@ class _CountingNumpy:
 
 
 def test_tv_sum_reads_only_the_band(monkeypatch):
-    # each curve point reduces at most (rows + 2 K) n elements, not n^2
-    a, n, steps = 250.0, 500, 20
-    counting = _CountingNumpy()
-    monkeypatch.setattr(grid, "np", counting)
-    with pytest.raises(MixingNotConverged):
-        find_mixing_time((0.0, 0.0), 0.25, ModelParams(a), n, steps)
-    assert 0 < counting.seen <= steps * (grid._TV_ROWS + 2 * grid._tv_band(a, n)) * n
+    # each curve point reduces at most (2 K + 1) n elements, one per cell
+    # and offset, not n^2, and none of them through BLAS; a = 10 cuts blocks
+    # at J's edge, a = 250 has a single block
+    n, steps = 500, 20
+    for a in (10.0, 250.0):
+        counting = _CountingNumpy()
+        monkeypatch.setattr(grid, "np", counting)
+        with pytest.raises(MixingNotConverged):
+            find_mixing_time((0.0, 0.0), 0.25, ModelParams(a), n, steps)
+        assert 0 < counting.seen <= steps * (2 * grid._tv_band(a, n) + 1) * n
+        assert counting.blas_calls == 0
 
 
 _CURVE_HASHES = """
