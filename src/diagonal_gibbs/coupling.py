@@ -232,12 +232,12 @@ def verify_dominance_inequality(grid_v: int, grid_u: int, params: ModelParams) -
 # shared-increment coupling Y / W
 # ======================================================================
 
-def _redraw_where(take, base, centers, uniforms, sigma: float):
-    """``base`` with Y's [0, 1]-truncated draw from ``centers`` and
-    ``uniforms`` put in where ``take`` holds; only those draws are solved."""
+def _redraw_at(index, base, centers, uniforms, sigma: float):
+    """``base`` with Y's [0, 1]-truncated draw from ``centers`` put in at
+    flat ``index``; ``uniforms`` holds one uniform per index, and only
+    those draws are solved."""
     out = base.copy()
-    index = np.flatnonzero(take)
-    out[index] = _trunc_quantile_core(centers[index], sigma, 0.0, 1.0, uniforms[index])
+    out[index] = _trunc_quantile_core(centers[index], sigma, 0.0, 1.0, uniforms)
     return out
 
 
@@ -272,7 +272,8 @@ def couple_y_w(
         s["w"] = s["w"] + zeta
         y_cand = s["y"] + zeta
         inside = (y_cand >= 0.0) & (y_cand <= 1.0)
-        s["y"] = _redraw_where(~inside, y_cand, s["y"], fresh, sigma)
+        redraw = np.flatnonzero(~inside)
+        s["y"] = _redraw_at(redraw, y_cand, s["y"], fresh[redraw], sigma)
 
     y, w, nu_c2 = _run_ensemble(
         _Process(draw, step, {"nu_c2": _outside_unit}), {"w": w0, "y": w0},
@@ -316,8 +317,10 @@ def couple_y_yprime(
         coupled = s["coupled"]
         s["yp"] = _trunc_quantile_core(s["yp"], sigma, 0.0, np.inf, shared)
         overshoot = coupled & (s["yp"] >= 1.0)
-        s["y"] = _redraw_where(overshoot | ~coupled, s["yp"], s["y"],
-                               np.where(coupled, fresh, shared), sigma)
+        redraw = np.flatnonzero(overshoot | ~coupled)
+        # the fresh uniform at the decoupling step, the shared one after it
+        uniforms = np.where(coupled[redraw], fresh[redraw], shared[redraw])
+        s["y"] = _redraw_at(redraw, s["yp"], s["y"], uniforms, sigma)
         s["coupled"] = coupled & ~overshoot
 
     hits = {"nu_c1": lambda s: ~s["coupled"], "nu_m_tilde": _reached_middle(params)}

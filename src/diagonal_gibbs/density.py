@@ -27,13 +27,29 @@ step repeats the same err and the same idempotent bracket update, so no
 later step can move a bit of it.  The step count is only a cap, which the
 test suite checks against a reference that always runs every step.
 
-The truncated quantile is one algorithm, written against six operations
-(where, maximum, minimum, clip, Phi and its inverse), that runs on either
-kind of input.  Arrays get numpy's operations.  A 0-d center with a 0-d p,
-the call a single trajectory makes once per step, gets conditional
-expressions and the same ufuncs on Python floats, which skip numpy's
-per-call cost on 0-d arrays and round alike, so both kinds return the same
-bits.  The test suite checks both against the reference.
+The truncated quantile skips work whose result it already knows, and none
+of the skips can move a bit:
+  - the reflection is built only when some window lies wholly above its
+    center.  No chain's draw has one, and without one the reflection's
+    selections would return their unreflected argument and the residual
+    Phi(s) - Phi(alpha) needs no sign, as 1.0 * x is x.
+  - Phi(-beta), the upper tail's offset, is evaluated only for the elements
+    whose lower-tail target is above 1/2, the only ones that read it, and
+    on the half line not at all: there Phi(beta) = 1 and Phi(-beta) = 0.
+  - Newton step 2 runs only on the elements step 1 moved, by the folded
+    solver's fixed-point argument above.
+  - a selection whose mask is uniform (positive density, a candidate inside
+    its bracket, p at 0 or at 1) is skipped, as it returns one of its
+    arguments whole.
+
+The truncated quantile is one algorithm, written against nine operations
+(where, maximum, minimum, clip, Phi and its inverse, any, all and a
+same-bits test), that runs on either kind of input.  Arrays get numpy's
+operations.  A 0-d center with a 0-d p, the call a single trajectory makes
+once per step, gets conditional expressions and the same ufuncs on Python
+floats, which skip numpy's per-call cost on 0-d arrays and round alike, so
+both kinds return the same bits.  The test suite checks both against the
+reference, on windows with and without reflection.
 """
 
 from __future__ import annotations
@@ -195,18 +211,27 @@ def _clip(x: float, lo: float, hi: float) -> float:
     return x
 
 
+def _same_bits(a: float, b: float) -> bool:
+    # a == b alone would also match +0.0 and -0.0
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
 # The operations the truncated solvers are written against, as (where,
-# maximum, minimum, clip, ndtr, ndtri): numpy's for arrays, and for Python
-# floats the same selections with the same ufuncs for Phi and its inverse.
-# Python's + - * / and comparisons round as numpy's do, so both give the same
-# bits.  ``special`` is looked up at each call, so a test can stand in for it.
+# maximum, minimum, clip, ndtr, ndtri, any, all, same_bits): numpy's for
+# arrays, and for Python floats the same selections with the same ufuncs for
+# Phi and its inverse.  Python's + - * / and comparisons round as numpy's do,
+# so both give the same bits.  ``special`` is looked up at each call, so a
+# test can stand in for it.
 _ARRAY_OPS = (
     np.where, np.maximum, np.minimum, np.clip,
     lambda x: special.ndtr(x), lambda x: special.ndtri(x),
+    lambda m: m.any(), lambda m: m.all(),
+    lambda a, b: a.view(np.int64) == b.view(np.int64),
 )
 _FLOAT_OPS = (
     lambda cond, a, b: a if cond else b, _max, _min, _clip,
     lambda x: float(special.ndtr(x)), lambda x: float(special.ndtri(x)),
+    bool, bool, _same_bits,
 )
 
 
@@ -227,11 +252,21 @@ def _window(center, sigma: float, lo: float, hi: float, ops=_ARRAY_OPS):
     one Phi call; on a reflected window it is -Phi(-s) + Phi(-alpha), the
     same difference taken on the tail that keeps precision, rounded exactly
     as Phi(-alpha) - Phi(-s).
+
+    When no window is reflected, as on every chain's draws, ``upper`` is
+    None, ``sign`` is 1.0, ``hi_r`` is ``beta`` and ``offset`` is ``f_lo``:
+    the values the reflection's selections would return, without them.
     """
-    where, _, _, _, ndtr, _ = ops
+    where, _, minimum, _, ndtr, _, any_, _, _ = ops
     alpha = (lo - center) / sigma
     beta = (hi - center) / sigma
     upper = alpha > 0.0
+    if not any_(upper):
+        f_lo = ndtr(alpha)
+        # On the half line beta is +inf, where Phi is 1, or NaN for a center
+        # of +inf, which the minimum keeps NaN as Phi would.
+        f_hi = minimum(beta, 1.0) if hi == math.inf else ndtr(beta)
+        return alpha, beta, None, 1.0, beta, f_lo, f_lo, f_hi - f_lo
     hi_r = where(upper, -alpha, beta)
     f_lo = ndtr(where(upper, -beta, alpha))
     f_hi = ndtr(hi_r)
@@ -257,14 +292,14 @@ def _trunc_quantile_core(center, sigma: float, lo: float, hi: float, p):
     """Quantile of N(center, sigma^2) truncated to [lo, hi].
 
     Initial estimate: invert the normal CDF on whichever tail of the
-    cumulative target keeps relative accuracy.  Then a fixed number of
-    Newton corrections on the truncated CDF, safeguarded by a shrinking
-    bracket (midpoint fallback when Newton leaves it).
+    cumulative target keeps relative accuracy.  Then at most
+    _TRUNC_NEWTON_STEPS Newton corrections on the truncated CDF, safeguarded
+    by a shrinking bracket (midpoint fallback when Newton leaves it).
 
     A 0-d center with a 0-d p, the call a single trajectory makes once per
     step, is solved on Python floats, without numpy's per-call cost on 0-d
     arrays, and returned as a numpy float64; any array input, one center
-    with an array of p included, is solved on arrays.  Both run the one
+    with an array of p included, is solved on flat arrays.  Both run the one
     algorithm below and give the same bits.
     """
     center = np.asarray(center, dtype=float)
@@ -281,53 +316,123 @@ def _trunc_quantile_core(center, sigma: float, lo: float, hi: float, p):
     _check_p(p)
     window = _window(center, sigma, lo, hi)
     _check_mass(window[-1], center, sigma, lo, hi)
-    if center.shape != p.shape:
-        # after the window, which depends on the center alone
-        center, p = np.broadcast_arrays(center, p)
-    return _trunc_quantile(center, sigma, lo, hi, p, window, _ARRAY_OPS)
+    if center.shape == p.shape and center.ndim == 1:
+        return _trunc_quantile(center, sigma, lo, hi, p, window, _ARRAY_OPS)
+    # after the window, which depends on the center alone: every per-element
+    # value as a flat view, or a copy where the broadcast is not flat
+    shape = np.broadcast_shapes(center.shape, p.shape)
+    center, p, *window = (None if v is None else np.broadcast_to(v, shape).reshape(-1)
+                          for v in (center, p, *window))
+    return _trunc_quantile(center, sigma, lo, hi, p, window, _ARRAY_OPS).reshape(shape)
+
+
+def _upper_tail(p, mass, beta, hi: float, ndtr):
+    """Phi(-beta) + (1 - p) * mass on unreflected windows.  On the half line
+    Phi(-beta) is Phi(-inf) = 0, which adds nothing to a sum >= +0."""
+    tail = (1.0 - p) * mass
+    if hi < math.inf:
+        tail += ndtr(-beta)
+    return tail
 
 
 def _trunc_quantile(center, sigma: float, lo: float, hi: float, p, window, ops):
-    """``_trunc_quantile_core`` on a checked ``_window``, with the given ops."""
-    where, maximum, minimum, clip, ndtr, ndtri = ops
+    """``_trunc_quantile_core`` on a checked ``_window``, with the given ops.
+
+    Arrays must be flat, of one length.  The branches on ``any`` and ``all``
+    skip work whose result is known; the array-only code under them is
+    reached only when a mask is mixed, which one float never is.
+    """
+    where, maximum, minimum, clip, ndtr, ndtri, any_, all_, same_bits = ops
     _, _, upper, sign, hi_r, f_lo, offset, mass = window
 
-    # Cumulative target measured from the lower tail and from the upper
-    # tail; exactly one of the two is <= 1/2 and is safe to invert.  Their
-    # offsets Phi(alpha) and Phi(-beta) are f_lo and Phi(-hi_r), in the
-    # order the reflection put them.
-    f_far = ndtr(-hi_r)
-    lower_tail = where(upper, f_far, f_lo) + p * mass
-    upper_tail = where(upper, f_lo, f_far) + (1.0 - p) * mass
+    # Cumulative target measured from the lower tail, and where that is
+    # above 1/2 from the upper tail, which is then below it and safe to
+    # invert.  Their offsets Phi(alpha) and Phi(-beta) are f_lo and
+    # Phi(-hi_r), in the order the reflection put them.
+    lower_tail = p * mass
+    if upper is None:
+        lower_tail += f_lo
+    else:
+        f_far = ndtr(-hi_r)
+        lower_tail += where(upper, f_far, f_lo)
     from_below = lower_tail <= 0.5
-    z = ndtri(maximum(where(from_below, lower_tail, upper_tail), _TINY))
-    x = center + sigma * where(from_below, z, -z)
+    if all_(from_below):
+        z = ndtri(maximum(lower_tail, _TINY))
+    elif upper is not None:
+        z = ndtri(maximum(where(from_below, lower_tail,
+                                where(upper, f_lo, f_far) + (1.0 - p) * mass), _TINY))
+        z = where(from_below, z, -z)
+    elif not any_(from_below):
+        z = -ndtri(maximum(_upper_tail(p, mass, hi_r, hi, ndtr), _TINY))
+    else:
+        # the upper tail only where it is inverted, in the lower tail's place
+        far = np.flatnonzero(~from_below)
+        lower_tail[far] = _upper_tail(p[far], mass[far], hi_r[far], hi, ndtr)
+        z = ndtri(maximum(lower_tail, _TINY))
+        z[far] = -z[far]
+    x = center + sigma * z
 
     # A non-degenerate window keeps blo <= bhi, and every iterate lies in
     # [blo, bhi] within [lo, hi].  So each bracket update moves an edge to
     # x, and s lies in [alpha, beta] unclipped (a tie can differ from the
     # clipped value only in the sign of a zero, which Phi and the density
     # ignore).
+    #
+    # A step that returns an element's iterate with the same bits repeats
+    # its err, sets each bracket edge it moves to that iterate again (an
+    # idempotent update), and so returns it once more: the element is at its
+    # fixed point and takes no further step.  ``out`` holds every element's
+    # latest iterate; the ones still stepped sit at flat ``index`` in it, or
+    # are all of it while ``index`` is None.
     blo = maximum(lo, center - _Z_RANGE * sigma)
     bhi = minimum(hi, center + _Z_RANGE * sigma)
-    x = clip(x, blo, bhi)
+    out = new = clip(x, blo, bhi)
     inv_norm = sigma * mass
-    for _ in range(_TRUNC_NEWTON_STEPS):
-        s = (x - center) / sigma
-        err = (sign * ndtr(sign * s) - offset) / mass - p
+    q, index = p, None
+    for k in range(_TRUNC_NEWTON_STEPS):
+        if k:
+            fixed = same_bits(new, x)
+            if all_(fixed):
+                break
+            if any_(fixed):
+                moving = np.flatnonzero(~fixed)
+                index = moving if index is None else index[moving]
+                new, center, q, blo, bhi, offset, mass, inv_norm = (
+                    v[moving] for v in (new, center, q, blo, bhi, offset, mass, inv_norm))
+                if upper is not None:
+                    sign = sign[moving]
+        x = new
+        s = x - center
+        s /= sigma
+        err = ndtr(s) if upper is None else sign * ndtr(sign * s)
+        err -= offset
+        err /= mass
+        err -= q
         bhi = where(err >= 0.0, x, bhi)
         blo = where(err <= 0.0, x, blo)
         density = _std_pdf(s)
-        step = where(density > 0.0, err * inv_norm / maximum(density, _TINY), 0.0)
-        candidate = x - step
+        step = err * inv_norm
+        step /= maximum(density, _TINY)
+        if not all_(density > 0.0):
+            step = where(density > 0.0, step, 0.0)
+        new = x - step
         # Closed-interval test: a converged iterate sits on the bracket
         # edge it just tightened, and must not be bisected away from it.
-        inside = (candidate >= blo) & (candidate <= bhi)
-        x = where(inside, candidate, 0.5 * (blo + bhi))
+        inside = new >= blo
+        inside &= new <= bhi
+        if not all_(inside):
+            new = where(inside, new, 0.5 * (blo + bhi))
+        if index is None:
+            out = new
+        else:
+            out[index] = new
 
     # Hard edges are exact by contract.
-    x = where(p == 0.0, lo, x)
-    return where(p == 1.0, hi, x)
+    if any_(p == 0.0):
+        out = where(p == 0.0, lo, out)
+    if any_(p == 1.0):
+        out = where(p == 1.0, hi, out)
+    return out
 
 
 def _folded_cdf_core(center, sigma: float, x):

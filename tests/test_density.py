@@ -13,7 +13,7 @@ import pytest
 from scipy import special
 from scipy.stats import truncnorm
 
-from diagonal_gibbs import coupling, density
+from diagonal_gibbs import chains, coupling, density
 from diagonal_gibbs import (
     DegenerateTruncationError,
     FoldedGaussian,
@@ -212,15 +212,19 @@ def test_degenerate_truncation_is_an_error():
     # support 1768 sigma away from the center retains < 1e-300 mass
     with pytest.raises(DegenerateTruncationError):
         TruncatedGaussian(0.0, ModelParams(250.0).sigma2, 5.0, 6.0)
-    # a NaN center gives a NaN mass, which no window retains
+    # a NaN center gives a NaN mass, which no window retains, and so does a
+    # center of +inf on the half line
     sigma = ModelParams(10.0).sigma
     for call in (
         lambda: TruncatedGaussian(math.nan, sigma * sigma, 0.0, 1.0),
+        lambda: TruncatedGaussian(math.inf, sigma * sigma, 0.0, math.inf),
+        lambda: density._trunc_quantile_core(np.array([0.5, math.inf]), sigma, 0.0, math.inf, 0.3),
         lambda: density._trunc_quantile_core(np.array([0.5, math.nan]), sigma, 0.0, 1.0, 0.3),
         lambda: density._trunc_quantile_core(math.nan, sigma, 0.0, 1.0, 0.3),
         lambda: density._trunc_cdf_core(np.array([0.5, math.nan]), sigma, 0.0, 1.0, 0.3),
     ):
-        with pytest.raises(DegenerateTruncationError):
+        # inf - inf, which gives that NaN, is numpy's invalid operation
+        with pytest.raises(DegenerateTruncationError), np.errstate(invalid="ignore"):
             call()
 
 
@@ -530,6 +534,68 @@ def test_truncated_solvers_match_both_branch_reference(a, lo, hi):
                               _ref_trunc_quantile(center, sigma, lo, hi, q))
 
 
+def _same_bits(a, b):
+    return np.asarray(a).view(np.int64) == np.asarray(b).view(np.int64)
+
+
+def _ref_newton_candidate(center, sigma, lo, hi, p, x):
+    """The reference's Newton candidate from iterate x, before its bracket test."""
+    alpha = (lo - center) / sigma
+    mass = _ref_interval_mass(alpha, (hi - center) / sigma)
+    s = np.clip((x - center) / sigma, alpha, (hi - center) / sigma)
+    err = _ref_interval_mass(alpha, s) / mass - p
+    dens = _ref_std_pdf(s)
+    return x - np.where(dens > 0.0, err * (sigma * mass) / np.maximum(dens, np.finfo(float).tiny), 0.0)
+
+
+@pytest.mark.parametrize("a", [1.0, 10.0, 250.0])
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (0.0, math.inf)])
+def test_truncated_solvers_match_reference_on_unreflected_windows(monkeypatch, a, lo, hi):
+    # Every center inside the window, as on every chain's draws, so no
+    # window is reflected.  The subsets below run each skip in the solver:
+    # the upper tail inverted for all, none or some elements, no Newton
+    # step 2 or one on all or some of them, bisected candidates, and no
+    # hard edge.
+    rng = np.random.default_rng([int(a), 7])
+    sigma = ModelParams(a).sigma
+    n = 4096
+    centers = rng.uniform(0.0, 1.0, n)
+    centers[:2] = (0.0, 1.0)
+    p = rng.random(n)
+    assert not np.any((p == 0.0) | (p == 1.0))
+    # the reference's iterates after 0, 1 and 2 Newton steps
+    iterates = []
+    for steps in range(3):
+        monkeypatch.setattr(density, "_TRUNC_NEWTON_STEPS", steps)
+        iterates.append(_ref_trunc_quantile(centers, sigma, lo, hi, p))
+    monkeypatch.undo()
+    x0, x1, x2 = iterates
+    moved = ~_same_bits(x1, x0)
+    bisected = moved & ~_same_bits(x2, _ref_newton_candidate(centers, sigma, lo, hi, p, x1))
+    alpha = (lo - centers) / sigma
+    from_below = special.ndtr(alpha) + p * _ref_interval_mass(alpha, (hi - centers) / sigma) <= 0.5
+    subsets = {
+        "all": np.ones(n, dtype=bool),
+        "step 1 moves none": ~moved,
+        "step 1 moves all": moved,
+        "bisected or fixed": bisected | ~moved,
+        "lower tails": from_below,
+        "upper tails": ~from_below,
+    }
+    assert bisected.any()
+    for name, take in subsets.items():
+        assert take.any(), name
+        got = density._trunc_quantile_core(centers[take], sigma, lo, hi, p[take])
+        _assert_same_bits(got, x2[take])
+        _assert_same_bits(got, _ref_trunc_quantile(centers[take], sigma, lo, hi, p[take]))
+    # every pair through the 0-d entry, and the hard edges added
+    _assert_same_bits([density._trunc_quantile_core(c, sigma, lo, hi, q)
+                       for c, q in zip(centers, p)], x2)
+    edges = _oracle_p(rng, n)
+    _assert_same_bits(density._trunc_quantile_core(centers, sigma, lo, hi, edges),
+                      _ref_trunc_quantile(centers, sigma, lo, hi, edges))
+
+
 @pytest.mark.parametrize("a", [0.5, 1.0, 10.0, 250.0, 1e4])
 def test_folded_solver_matches_reference(a):
     # The reference runs every Newton step on every element; the solver
@@ -635,3 +701,24 @@ def test_truncated_quantile_evaluates_each_tail_once(monkeypatch, center_lo, cen
         density._trunc_quantile_core(center, ModelParams(10.0).sigma, 0.0, 1.0, q)
         assert counting.elements["ndtr"] <= 3 + density._TRUNC_NEWTON_STEPS
         assert counting.elements["ndtri"] <= 1
+
+
+@pytest.mark.parametrize("chain", ["X", "YPrime"])
+def test_truncated_quantile_skips_unused_work_on_chain_draws(monkeypatch, chain):
+    # X's [0, 1] draws after 20 steps at a = 10, and YPrime's [0, inf) draws
+    # from 0.1.  Phi at each finite endpoint, at the far tail only where the
+    # upper tail is inverted, and in Newton step 2 only where step 1 moved:
+    # 3.97 and 2.34 per draw on these inputs.  Every step on every element,
+    # with both tails everywhere, would be 5.
+    params = ModelParams(10.0)
+    n = 4000
+    if chain == "X":
+        centers, hi = chains.run_x_ensemble((0.0, 0.0), 20, params, 12, n).u, 1.0
+    else:
+        centers, hi = chains.run_y_prime_ensemble(0.1, 20, params, 13, n).terminal, math.inf
+    p = np.random.default_rng(5).random(n)
+    counting = _CountingSpecial()
+    monkeypatch.setattr(density, "special", counting)
+    density._trunc_quantile_core(centers, params.sigma, 0.0, hi, p)
+    assert counting.elements["ndtr"] <= 4.25 * n
+    assert counting.elements["ndtri"] <= n
