@@ -9,9 +9,15 @@ so those live here in one place.
 
 CDFs are evaluated through the complementary error function (scipy's ndtr
 family), never through quadrature; quadrature appears only as an oracle in
-the test suite.  Quantiles use a closed-form initial estimate followed by
-safeguarded Newton iterations on the CDF, with bisection midpoints whenever
-a Newton step leaves the current bracket.
+the test suite.  Both quantiles, the truncated and the folded, start from a
+closed-form estimate and polish it in one loop, ``_newton``: safeguarded
+Newton iterations on the CDF, with bisection midpoints whenever a Newton
+step leaves the current bracket.  The loop drops each element at its fixed
+point, so each solver's step count is a cap; ``_newton`` states why that
+cannot move a bit, and the test suite checks both solvers against a
+reference that always runs every step.  It also skips a selection whose
+mask is uniform (positive density, a candidate inside its bracket), as it
+returns one of its arguments whole.
 
 A truncation window lying wholly above its center is reflected through it
 (negation is exact), so every CDF difference is taken on the tail at or
@@ -20,12 +26,6 @@ reflected endpoint, and those two values are reused by the mass, the
 initial estimate and each Newton step, which then costs one Phi call.  The
 test suite checks the results bit for bit against a reference that
 evaluates both sides of every branch.
-
-The folded quantile's Newton steps stop, element by element, at the first
-step that returns an element's iterate with the same bits: from there each
-step repeats the same err and the same idempotent bracket update, so no
-later step can move a bit of it.  The step count is only a cap, which the
-test suite checks against a reference that always runs every step.
 
 The truncated quantile skips work whose result it already knows, and none
 of the skips can move a bit:
@@ -36,20 +36,17 @@ of the skips can move a bit:
   - Phi(-beta), the upper tail's offset, is evaluated only for the elements
     whose lower-tail target is above 1/2, the only ones that read it, and
     on the half line not at all: there Phi(beta) = 1 and Phi(-beta) = 0.
-  - Newton step 2 runs only on the elements step 1 moved, by the folded
-    solver's fixed-point argument above.
-  - a selection whose mask is uniform (positive density, a candidate inside
-    its bracket, p at 0 or at 1) is skipped, as it returns one of its
-    arguments whole.
+  - a selection whose mask is uniform (p at 0 or at 1, every target on one
+    tail) is skipped, as in ``_newton``.
 
 The truncated quantile is one algorithm, written against nine operations
 (where, maximum, minimum, clip, Phi and its inverse, any, all and a
-same-bits test), that runs on either kind of input.  Arrays get numpy's
-operations.  A 0-d center with a 0-d p, the call a single trajectory makes
-once per step, gets conditional expressions and the same ufuncs on Python
-floats, which skip numpy's per-call cost on 0-d arrays and round alike, so
-both kinds return the same bits.  The test suite checks both against the
-reference, on windows with and without reflection.
+same-bits test), that runs on either kind of input, and so is ``_newton``.
+Arrays get numpy's operations.  A 0-d center with a 0-d p, the call a
+single trajectory makes once per step, gets conditional expressions and the
+same ufuncs on Python floats, which skip numpy's per-call cost on 0-d
+arrays and round alike, so both kinds return the same bits.  The test suite
+checks both against the reference, on windows with and without reflection.
 """
 
 from __future__ import annotations
@@ -67,11 +64,10 @@ SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 # rejected outright; conditioning on them would be numerically meaningless.
 DEGENERATE_MASS = 1e-300
 
-# Newton refinement counts for the quantile solvers.  The truncated solver
-# starts from an inverse-normal estimate that is already correct to a few
-# ulps, so two polish steps suffice.  The folded solver starts from a cruder
-# guess and gets a longer budget, a cap: each element leaves the loop at its
-# fixed point, after which further steps would return the same bits.
+# Newton refinement caps for the quantile solvers (see ``_newton``).  The
+# truncated solver starts from an inverse-normal estimate that is already
+# correct to a few ulps, so two polish steps suffice.  The folded solver
+# starts from a cruder guess and gets a longer budget.
 _TRUNC_NEWTON_STEPS = 2
 _FOLDED_NEWTON_STEPS = 8
 
@@ -235,6 +231,76 @@ _FLOAT_OPS = (
 )
 
 
+def _flat(*values):
+    """The broadcast shape of the numpy values, and each as a flat view of
+    it, or a copy where the broadcast is not flat.  None, and a Python float,
+    which broadcasts by itself, stay as they are.  Only values of another
+    shape go through ``broadcast_to``, which costs microseconds a call."""
+    kept = (type(None), float)
+    shape = np.broadcast_shapes(*{v.shape for v in values if type(v) not in kept})
+    return shape, [v if type(v) in kept else
+                   (v if v.shape == shape else np.broadcast_to(v, shape)).reshape(-1)
+                   for v in values]
+
+
+def _newton(x, blo, bhi, residual, elementwise, steps, ops):
+    """Estimate x polished by at most ``steps`` safeguarded Newton steps.
+
+    ``residual(x, *elementwise)`` returns (err, density, scale): the CDF
+    less its target at x, and the Newton step err * scale / density, taken
+    as 0 where the density is 0.  An err >= 0 moves the upper bracket edge
+    to x and an err <= 0 the lower one; a candidate outside [blo, bhi] (a
+    closed test, so a converged iterate on the edge it just tightened stays)
+    is replaced by the bracket's midpoint.  x is first clipped into [blo,
+    bhi], and every iterate stays in it, so an edge update need not take a
+    minimum or a maximum.  Arrays must be flat, of one length;
+    ``elementwise`` holds the per-element values the residual reads.
+
+    A step that returns an element's iterate with the same bits repeats its
+    err, sets each bracket edge it moves to that iterate again (an
+    idempotent update), and so returns it once more: the element is at its
+    fixed point and takes no further step, so ``steps`` is only a cap.
+    ``out`` holds every element's latest iterate; the ones still stepped sit
+    at flat ``index`` in it, or are all of it while ``index`` is None.  A
+    selection whose mask is uniform is skipped, as it returns one of its
+    arguments whole.
+    """
+    where, maximum, _, clip, _, _, any_, all_, same_bits = ops
+    out = new = clip(x, blo, bhi)
+    index = None
+    for k in range(steps):
+        if k:
+            fixed = same_bits(new, x)
+            if all_(fixed):
+                break
+            if any_(fixed):
+                moving = np.flatnonzero(~fixed)
+                index = moving if index is None else index[moving]
+                new, blo, bhi, *elementwise = (
+                    v[moving] for v in (new, blo, bhi, *elementwise))
+        x = new
+        err, density, scale = residual(x, *elementwise)
+        bhi = where(err >= 0.0, x, bhi)
+        blo = where(err <= 0.0, x, blo)
+        # Allocated after the bracket updates, not in the residual: in this
+        # order glibc keeps the heap top between calls on chain draws, where
+        # the other order had it trimmed and faulted back in on every call.
+        step = err * scale
+        step /= maximum(density, _TINY)
+        if not all_(density > 0.0):
+            step = where(density > 0.0, step, 0.0)
+        new = x - step
+        inside = new >= blo
+        inside &= new <= bhi
+        if not all_(inside):
+            new = where(inside, new, 0.5 * (blo + bhi))
+        if index is None:
+            out = new
+        else:
+            out[index] = new
+    return out
+
+
 def _window(center, sigma: float, lo: float, hi: float, ops=_ARRAY_OPS):
     """A truncation window [lo, hi] standardized about the center.
 
@@ -293,8 +359,7 @@ def _trunc_quantile_core(center, sigma: float, lo: float, hi: float, p):
 
     Initial estimate: invert the normal CDF on whichever tail of the
     cumulative target keeps relative accuracy.  Then at most
-    _TRUNC_NEWTON_STEPS Newton corrections on the truncated CDF, safeguarded
-    by a shrinking bracket (midpoint fallback when Newton leaves it).
+    _TRUNC_NEWTON_STEPS steps of ``_newton`` on the truncated CDF.
 
     A 0-d center with a 0-d p, the call a single trajectory makes once per
     step, is solved on Python floats, without numpy's per-call cost on 0-d
@@ -316,13 +381,8 @@ def _trunc_quantile_core(center, sigma: float, lo: float, hi: float, p):
     _check_p(p)
     window = _window(center, sigma, lo, hi)
     _check_mass(window[-1], center, sigma, lo, hi)
-    if center.shape == p.shape and center.ndim == 1:
-        return _trunc_quantile(center, sigma, lo, hi, p, window, _ARRAY_OPS)
-    # after the window, which depends on the center alone: every per-element
-    # value as a flat view, or a copy where the broadcast is not flat
-    shape = np.broadcast_shapes(center.shape, p.shape)
-    center, p, *window = (None if v is None else np.broadcast_to(v, shape).reshape(-1)
-                          for v in (center, p, *window))
+    # flattened after the window, which depends on the center alone
+    shape, (center, p, *window) = _flat(center, p, *window)
     return _trunc_quantile(center, sigma, lo, hi, p, window, _ARRAY_OPS).reshape(shape)
 
 
@@ -342,7 +402,7 @@ def _trunc_quantile(center, sigma: float, lo: float, hi: float, p, window, ops):
     skip work whose result is known; the array-only code under them is
     reached only when a mask is mixed, which one float never is.
     """
-    where, maximum, minimum, clip, ndtr, ndtri, any_, all_, same_bits = ops
+    where, maximum, minimum, _, ndtr, ndtri, any_, all_, _ = ops
     _, _, upper, sign, hi_r, f_lo, offset, mass = window
 
     # Cumulative target measured from the lower tail, and where that is
@@ -370,62 +430,23 @@ def _trunc_quantile(center, sigma: float, lo: float, hi: float, p, window, ops):
         lower_tail[far] = _upper_tail(p[far], mass[far], hi_r[far], hi, ndtr)
         z = ndtri(maximum(lower_tail, _TINY))
         z[far] = -z[far]
-    x = center + sigma * z
 
-    # A non-degenerate window keeps blo <= bhi, and every iterate lies in
-    # [blo, bhi] within [lo, hi].  So each bracket update moves an edge to
-    # x, and s lies in [alpha, beta] unclipped (a tie can differ from the
-    # clipped value only in the sign of a zero, which Phi and the density
-    # ignore).
-    #
-    # A step that returns an element's iterate with the same bits repeats
-    # its err, sets each bracket edge it moves to that iterate again (an
-    # idempotent update), and so returns it once more: the element is at its
-    # fixed point and takes no further step.  ``out`` holds every element's
-    # latest iterate; the ones still stepped sit at flat ``index`` in it, or
-    # are all of it while ``index`` is None.
-    blo = maximum(lo, center - _Z_RANGE * sigma)
-    bhi = minimum(hi, center + _Z_RANGE * sigma)
-    out = new = clip(x, blo, bhi)
-    inv_norm = sigma * mass
-    q, index = p, None
-    for k in range(_TRUNC_NEWTON_STEPS):
-        if k:
-            fixed = same_bits(new, x)
-            if all_(fixed):
-                break
-            if any_(fixed):
-                moving = np.flatnonzero(~fixed)
-                index = moving if index is None else index[moving]
-                new, center, q, blo, bhi, offset, mass, inv_norm = (
-                    v[moving] for v in (new, center, q, blo, bhi, offset, mass, inv_norm))
-                if upper is not None:
-                    sign = sign[moving]
-        x = new
+    def residual(x, center, q, offset, mass, inv_norm, sign=None):
+        # Every iterate lies in the bracket, within [lo, hi], so s lies in
+        # [alpha, beta] unclipped (a tie can differ from the clipped value
+        # only in the sign of a zero, which Phi and the density ignore).
         s = x - center
         s /= sigma
-        err = ndtr(s) if upper is None else sign * ndtr(sign * s)
+        err = ndtr(s) if sign is None else sign * ndtr(sign * s)
         err -= offset
         err /= mass
         err -= q
-        bhi = where(err >= 0.0, x, bhi)
-        blo = where(err <= 0.0, x, blo)
-        density = _std_pdf(s)
-        step = err * inv_norm
-        step /= maximum(density, _TINY)
-        if not all_(density > 0.0):
-            step = where(density > 0.0, step, 0.0)
-        new = x - step
-        # Closed-interval test: a converged iterate sits on the bracket
-        # edge it just tightened, and must not be bisected away from it.
-        inside = new >= blo
-        inside &= new <= bhi
-        if not all_(inside):
-            new = where(inside, new, 0.5 * (blo + bhi))
-        if index is None:
-            out = new
-        else:
-            out[index] = new
+        return err, _std_pdf(s), inv_norm
+
+    out = _newton(center + sigma * z,
+                  maximum(lo, center - _Z_RANGE * sigma), minimum(hi, center + _Z_RANGE * sigma),
+                  residual, (center, p, offset, mass, sigma * mass) + (() if upper is None else (sign,)),
+                  _TRUNC_NEWTON_STEPS, ops)
 
     # Hard edges are exact by contract.
     if any_(p == 0.0):
@@ -454,7 +475,7 @@ def _folded_pdf_core(center, sigma: float, x):
 
 
 def _folded_quantile_core(center, sigma: float, p, hi=None):
-    """Quantile of the folded Gaussian, by safeguarded Newton on its CDF.
+    """Quantile of the folded Gaussian, by ``_newton`` on its CDF.
 
     ``hi``, when given, must be a valid upper bracket (CDF(hi) >= p); the
     returned value then never exceeds it.  The monotone coupling passes the
@@ -466,54 +487,35 @@ def _folded_quantile_core(center, sigma: float, p, hi=None):
     _check_p(p)
     if not (center >= 0.0).all():
         raise ValueError("folded center must be >= 0")
-    if center.shape != p.shape:
-        center, p = np.broadcast_arrays(center, p)
+    if hi is not None:
+        hi = np.asarray(hi, dtype=float)
+        # phrased so that NaN, which lies outside the support, fails it
+        if not np.all(hi >= 0.0):
+            raise ValueError("folded upper bracket hi must be >= 0")
+    shape, (center, p, hi) = _flat(center, p, hi)
 
     # 1 - F(x) <= 2 Phi(-(x-c)/sigma), so c + sigma * ndtri(1 - (1-p)/2)
     # always brackets the quantile from above.
     z_hi = -special.ndtri(np.maximum(0.5 * (1.0 - p), _TINY))
     bhi = center + sigma * np.maximum(z_hi, 0.0) + sigma
     if hi is not None:
-        bhi = np.minimum(bhi, np.broadcast_to(np.asarray(hi, dtype=float), p.shape))
-    blo = np.zeros_like(p)
-
+        bhi = np.minimum(bhi, hi)
     with np.errstate(invalid="ignore"):
         z0 = special.ndtri(np.clip(p, _TINY, 1.0 - 1e-16))
-    x = np.clip(center + sigma * z0, blo, bhi)
 
-    # Every iterate lies in [blo, bhi], inside [+0, bhi] for a valid hi, so
-    # each bracket update moves an edge to x, _folded_cdf_core's clamp of x
-    # at 0 and its zero below 0 are identities, and the CDF cannot exceed 1;
-    # only its floor at 0 is kept.
-    #
-    # A step that returns an element's iterate with the same bits repeats
-    # its err, sets each bracket edge it moves to that iterate again (an
-    # idempotent update), and so returns it once more: the element is at
-    # its fixed point and leaves the active set, whose iterates ``out``
-    # holds at flat ``index``.
-    x = out = x.reshape(-1)
-    index = np.arange(out.size)
-    center, q, blo, bhi = (np.ravel(v) for v in (center, p, blo, bhi))
-    for _ in range(_FOLDED_NEWTON_STEPS):
+    def residual(x, center, q):
+        # Every iterate lies in the bracket, inside [+0, bhi] for a valid
+        # hi, so _folded_cdf_core's clamp of x at 0, its zero below 0 and
+        # its clip at 1 are identities; only its floor at 0 is kept.
         z_minus = (x - center) / sigma
         z_plus = (x + center) / sigma
-        cdf = np.maximum(special.ndtr(z_minus) - special.ndtr(-z_plus), 0.0)
-        err = cdf - q
-        bhi = np.where(err >= 0.0, x, bhi)
-        blo = np.where(err <= 0.0, x, blo)
-        density = (_std_pdf(z_minus) + _std_pdf(z_plus)) / sigma
-        step = np.where(density > 0.0, err / np.maximum(density, _TINY), 0.0)
-        candidate = x - step
-        inside = (candidate >= blo) & (candidate <= bhi)
-        new = np.where(inside, candidate, 0.5 * (blo + bhi))
-        # compared before the write-back, as the first x is ``out`` itself
-        moving = np.flatnonzero(new.view(np.int64) != x.view(np.int64))
-        out[index] = new
-        if moving.size == 0:
-            break
-        index, x, center, q, blo, bhi = (v[moving] for v in (index, new, center, q, blo, bhi))
+        err = np.maximum(special.ndtr(z_minus) - special.ndtr(-z_plus), 0.0) - q
+        # err * 1.0 is err, bit for bit
+        return err, (_std_pdf(z_minus) + _std_pdf(z_plus)) / sigma, 1.0
 
-    return np.where(p == 0.0, 0.0, out.reshape(p.shape))
+    out = _newton(center + sigma * z0, np.zeros_like(p), bhi, residual, (center, p),
+                  _FOLDED_NEWTON_STEPS, _ARRAY_OPS)
+    return np.where(p == 0.0, 0.0, out).reshape(shape)
 
 
 def _as_float_or_array(x, arr):

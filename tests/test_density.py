@@ -308,6 +308,27 @@ def test_folded_quantile_zero_and_bracket():
     assert dist.quantile(0.73, hi=free) == pytest.approx(free, abs=1e-9)
 
 
+def test_folded_quantile_broadcasts_hi():
+    # an array of caps against a scalar center and p, directly and through
+    # the monotone coupling's array of upper centers
+    params = ModelParams(10.0)
+    dist = FoldedGaussian(0.1, params.sigma2)
+    caps = np.array([0.1, 0.2])
+    _assert_same_bits(dist.quantile(0.5, hi=caps), [dist.quantile(0.5, hi=c) for c in caps])
+    uppers = np.array([0.1, 0.2])
+    lower, upper = coupling.monotone_couple_step(0.0, uppers, 0.3, params)
+    pairs = [coupling.monotone_couple_step(0.0, c, 0.3, params) for c in uppers]
+    _assert_same_bits(lower, [pair[0] for pair in pairs])
+    _assert_same_bits(upper, [pair[1] for pair in pairs])
+
+
+@pytest.mark.parametrize("hi", [-1.0, math.nan, np.array([0.2, -1e-300])])
+def test_folded_quantile_rejects_cap_outside_support(hi):
+    # the folded law lives on [0, inf), so a cap below 0 or NaN brackets nothing
+    with pytest.raises(ValueError, match="hi must be >= 0"):
+        FoldedGaussian(0.0, ModelParams(10.0).sigma2).quantile(0.5, hi=hi)
+
+
 def test_folded_pdf_integrates_to_cdf():
     # trapezoid integral of the pdf recovers the cdf increment
     params = ModelParams(5.0)
@@ -628,6 +649,55 @@ def test_folded_solver_matches_reference(a):
     _assert_same_bits(density._folded_quantile_core(column, sigma, row, hi=cap),
                       _ref_folded_quantile(column, sigma, row, hi=cap))
     _assert_same_bits(density._folded_quantile_core(centers[:0], sigma, p[:0]), [])
+
+
+def _ref_folded_candidate(center, sigma, p, x):
+    """The reference's folded Newton candidate from iterate x, before its bracket test."""
+    err = _ref_folded_cdf(center, sigma, x) - p
+    dens = (_ref_std_pdf((x - center) / sigma) + _ref_std_pdf((x + center) / sigma)) / sigma
+    return x - np.where(dens > 0.0, err / np.maximum(dens, np.finfo(float).tiny), 0.0)
+
+
+@pytest.mark.parametrize("a", [1.0, 10.0, 250.0])
+@pytest.mark.parametrize("capped", [False, True])
+def test_folded_solver_matches_reference_on_subsets(monkeypatch, a, capped):
+    # Z/Y' draws after 20 coupled steps from starts within 10 sigma of the
+    # fold, where the folded mass matters.  The subsets below run each skip
+    # in the solver: no element or every element moved by step 1, bisected
+    # candidates, and elements still moving at the last step.
+    rng = np.random.default_rng([int(a), 17])
+    sigma = ModelParams(a).sigma
+    n = 4096
+    lower = upper = rng.uniform(0.0, 10.0 * sigma, n)
+    for _ in range(20):
+        lower, upper, _ = coupling._monotone_core(lower, upper, rng.random(n), sigma)
+    p = rng.random(n)
+    assert not np.any(p == 0.0)
+    cap = density._trunc_quantile_core(upper, sigma, 0.0, math.inf, p) if capped else None
+    # the reference's iterates after 0 to _FOLDED_NEWTON_STEPS Newton steps
+    iterates = []
+    for steps in range(density._FOLDED_NEWTON_STEPS + 1):
+        monkeypatch.setattr(density, "_FOLDED_NEWTON_STEPS", steps)
+        iterates.append(_ref_folded_quantile(lower, sigma, p, hi=cap))
+    monkeypatch.undo()
+    bisected = np.zeros(n, dtype=bool)
+    for x, new in zip(iterates, iterates[1:]):
+        bisected |= ~_same_bits(new, _ref_folded_candidate(lower, sigma, p, x))
+    moved = ~_same_bits(iterates[1], iterates[0])
+    subsets = {
+        "all": np.ones(n, dtype=bool),
+        "step 1 moves none": ~moved,
+        "step 1 moves all": moved,
+        "bisected": bisected,
+        "moving at the last step": ~_same_bits(iterates[-1], iterates[-2]),
+    }
+    for name, take in subsets.items():
+        assert take.any(), name
+        got = density._folded_quantile_core(lower[take], sigma, p[take],
+                                            hi=None if cap is None else cap[take])
+        _assert_same_bits(got, iterates[-1][take])
+        _assert_same_bits(got, _ref_folded_quantile(lower[take], sigma, p[take],
+                                                    hi=None if cap is None else cap[take]))
 
 
 @pytest.mark.parametrize("lo, hi", _ORACLE_WINDOWS)
