@@ -34,7 +34,9 @@ The single-run Z and W walks are the exception: ``_walk_path`` sums their
 increments with one ``cumsum``, because a step loop would add sequentially
 and so round differently, and would make 10^6-step runs a Python loop.
 Directions are held as booleans (True = the u coordinate moved) and become
-'U'/'V' strings only in the returned records and ensembles.
+'U'/'V' strings only in the returned records and ensembles.  A single run's
+``TrajectoryRecord`` always holds the whole path, and reads its step count
+and terminal state off it.
 
 Reproducibility: single-trajectory runners derive their stream from the
 seed alone, drawing every step's first array (X's coins) before the next
@@ -46,7 +48,6 @@ thread count.
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -114,43 +115,42 @@ def _run_chunked(worker, steps: int, trajectories: int, threads: int = 1):
 class TrajectoryRecord:
     """One simulated trajectory plus its recorded stopping times.
 
-    states holds the full path (steps+1 entries, scalars or (u, v) pairs)
-    unless state recording was turned off, in which case it is None and
-    only ``terminal`` survives.  ``aux_states`` carries process-specific
-    extras (for Z: the signed driving walk).  Stopping-time values are
-    step indices, or None when the event never happened; they are indices
-    into the recorded path, so they can be re-derived from ``states``.
+    states holds the full path (steps+1 entries, scalars or (u, v) pairs),
+    from which ``steps`` and ``terminal`` are read.  ``aux_states`` carries
+    process-specific extras (for Z: the signed driving walk).  Stopping-time
+    values are step indices into the path, or None when the event never
+    happened, so they can be re-derived from ``states``.
     """
 
     process_name: str
-    steps: int
     seed: int
     params: ModelParams
-    terminal: np.ndarray
+    states: np.ndarray
     stopping_times: dict = field(default_factory=dict)
-    states: np.ndarray | None = None
     direction_sequence: np.ndarray | None = None
     aux_states: np.ndarray | None = None
 
     def __post_init__(self):
         if self.process_name not in PROCESS_NAMES:
             raise ValueError(f"unknown process {self.process_name!r}")
-        if self.states is not None and len(self.states) != self.steps + 1:
-            raise ValueError(
-                f"states length {len(self.states)} != steps+1 ({self.steps + 1})"
-            )
+
+    @property
+    def steps(self) -> int:
+        return len(self.states) - 1
+
+    @property
+    def terminal(self):
+        return self.states[-1]
 
     def to_csv(self, path) -> None:
         """Dump the recorded path as CSV with columns step,value(s)."""
-        if self.states is None:
-            raise ValueError("trajectory was run without state recording")
         states = np.atleast_2d(np.asarray(self.states, dtype=float).T).T
         wide = states.shape[1] == 2
         header = "step,u,v" if wide else "step,value"
         with open(path, "w") as fh:
             fh.write(header + "\n")
-            for t in range(self.steps + 1):
-                row = ",".join(repr(float(x)) for x in np.atleast_1d(states[t]))
+            for t, state in enumerate(states):
+                row = ",".join(repr(float(x)) for x in state)
                 fh.write(f"{t},{row}\n")
 
     def summary(self) -> dict:
@@ -172,11 +172,6 @@ class TrajectoryRecord:
                 count_direction_changes(self.direction_sequence) if self.steps else 0
             )
         return out
-
-    def summary_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.summary(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def count_direction_changes(directions) -> int:
@@ -423,37 +418,25 @@ def _check_nonnegative(x: float, name: str) -> float:
     return x
 
 
-def _record(process_name, path, steps, params, seed, record_states, **fields):
-    """Record of one run whose last state in ``path`` is the terminal one."""
-    return TrajectoryRecord(
-        process_name, steps, seed, params, terminal=np.array(path[-1]),
-        states=path if record_states else None, **fields,
-    )
-
-
-def _run_planar(process_name, draw, start, steps, params, seed, record_states):
+def _run_planar(process_name, draw, start, steps, params, seed):
     (u, v, last_u), _ = _run_single(
         _x_process(params, draw), _planar_start(start), ("u", "v", "last_u"), steps, seed,
     )
-    states = np.column_stack((u, v))
-    directions = _directions(last_u[1:])
-    return _record(process_name, states, steps, params, seed, record_states,
-                   direction_sequence=directions)
+    return TrajectoryRecord(process_name, seed, params, np.column_stack((u, v)),
+                            direction_sequence=_directions(last_u[1:]))
 
 
-def run_x(start, steps: int, params: ModelParams, seed: int, record_states: bool = True):
+def run_x(start, steps: int, params: ModelParams, seed: int) -> TrajectoryRecord:
     """Random-scan sampler: fair independent direction coins."""
-    return _run_planar("X", _x_coins, start, steps, params, seed, record_states)
+    return _run_planar("X", _x_coins, start, steps, params, seed)
 
 
-def run_xstar(start, steps: int, params: ModelParams, seed: int, record_states: bool = True):
+def run_xstar(start, steps: int, params: ModelParams, seed: int) -> TrajectoryRecord:
     """Alternating-direction sampler: v on odd steps, u on even steps."""
-    return _run_planar("XStar", _xstar_coins, start, steps, params, seed, record_states)
+    return _run_planar("XStar", _xstar_coins, start, steps, params, seed)
 
 
-def run_y(
-    start_u: float, steps: int, params: ModelParams, seed: int, record_states: bool = True
-) -> TrajectoryRecord:
+def run_y(start_u: float, steps: int, params: ModelParams, seed: int) -> TrajectoryRecord:
     """Scalar flip chain on [0, 1]; records middle-band hitting times.
 
     nu_m is the first index with 1/2 - delta <= Y <= 1/2 + delta,
@@ -462,35 +445,28 @@ def run_y(
     """
     start = {"y": _check_unit(start_u, "start_u")}
     (path,), times = _run_single(_y_process(params), start, ("y",), steps, seed)
-    return _record("Y", path, steps, params, seed, record_states, stopping_times=times)
+    return TrajectoryRecord("Y", seed, params, path, stopping_times=times)
 
 
-def run_y_prime(
-    start_u: float, steps: int, params: ModelParams, seed: int, record_states: bool = True
-) -> TrajectoryRecord:
+def run_y_prime(start_u: float, steps: int, params: ModelParams, seed: int) -> TrajectoryRecord:
     """Flip chain with the upper wall removed (support [0, inf))."""
     start = {"y": _check_nonnegative(start_u, "start_u")}
     (path,), times = _run_single(_y_prime_process(params), start, ("y",), steps, seed)
-    return _record("YPrime", path, steps, params, seed, record_states, stopping_times=times)
+    return TrajectoryRecord("YPrime", seed, params, path, stopping_times=times)
 
 
-def run_z(
-    start: float, steps: int, params: ModelParams, seed: int, record_states: bool = True
-) -> TrajectoryRecord:
+def run_z(start: float, steps: int, params: ModelParams, seed: int) -> TrajectoryRecord:
     """Reflected free walk: states are |walk|, aux_states the signed walk."""
     w0 = _check_nonnegative(start, "start")
     signed, _ = _walk_path(_walk_process(params, {}), w0, steps, seed)
-    return _record("Z", np.abs(signed), steps, params, seed, record_states,
-                   aux_states=signed if record_states else None)
+    return TrajectoryRecord("Z", seed, params, np.abs(signed), aux_states=signed)
 
 
-def run_w(
-    start: float, steps: int, params: ModelParams, seed: int, record_states: bool = True
-) -> TrajectoryRecord:
+def run_w(start: float, steps: int, params: ModelParams, seed: int) -> TrajectoryRecord:
     """Plain Gaussian walk; records the first exit from [0, 1]."""
     w0 = _check_unit(start, "start")
     path, times = _walk_path(_walk_process(params, {"nu_c2": _outside_unit}), w0, steps, seed)
-    return _record("W", path, steps, params, seed, record_states, stopping_times=times)
+    return TrajectoryRecord("W", seed, params, path, stopping_times=times)
 
 
 # ======================================================================

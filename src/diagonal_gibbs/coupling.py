@@ -24,7 +24,9 @@ step's shared randomness in stream order, ``step`` moves both chains of
 the pair, held side by side in one state dict, and the decoupling times
 are named first-hit predicates on that state (nu_c1 is the first step at
 which the pair is no longer coupled).  ``chains._run_ensemble`` runs all
-three, chunked and threaded like the single-process ensembles.
+three, chunked and threaded like the single-process ensembles, and a
+``CouplingReport`` keeps the decoupling times as the float array it
+returns: NaN where the pair stayed coupled.
 
 Ordering bookkeeping for Z/YPrime: the upper draw is computed first and
 passed to the folded quantile solver as a bracket, which it is entitled to
@@ -37,13 +39,12 @@ inversion of the returned pair, count as ordering violations.
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .density import (
+    DOMINANCE_TOL,
     ModelParams,
     _folded_cdf_core,
     _folded_quantile_core,
@@ -61,18 +62,15 @@ from .chains import (
 
 PAIR_NAMES = ("Y_YPrime", "Z_YPrime", "Y_W")
 
-# CDF-space slack for the pointwise dominance check inside the monotone
-# coupling; matches the tolerance of the grid sweep below.
-DOMINANCE_TOL = 1e-12
-
 
 @dataclass
 class CouplingReport:
     """Outcome of a batch of coupled runs.
 
-    decoupling_times has one entry per trajectory: the step index at which
-    the pair decoupled, or None when it stayed coupled for the whole run
-    (for the never-decoupling Z_YPrime pair it is all None).
+    decoupling_times is the float array of the step indices at which each
+    pair decoupled, NaN where it stayed coupled for the whole run (all NaN
+    for the never-decoupling Z_YPrime pair); for the other two pairs it is
+    the same array as aux["nu_c1"] or aux["nu_c2"].
     ordering_violations applies to Z_YPrime and must be 0 for a correct
     implementation.  aux carries pair-specific per-trajectory extras.
     """
@@ -80,7 +78,7 @@ class CouplingReport:
     pair_name: str
     trajectories: int
     steps_per_trajectory: int
-    decoupling_times: list
+    decoupling_times: np.ndarray
     ordering_violations: int
     params_used: ModelParams
     seed: int
@@ -93,7 +91,7 @@ class CouplingReport:
             raise ValueError(f"unknown pair {self.pair_name!r}")
 
     def decoupled_fraction(self) -> float:
-        hits = sum(1 for t in self.decoupling_times if t is not None)
+        hits = np.count_nonzero(~np.isnan(self.decoupling_times))
         return hits / self.trajectories if self.trajectories else 0.0
 
     def as_dict(self) -> dict:
@@ -108,33 +106,22 @@ class CouplingReport:
             "decoupled_fraction": self.decoupled_fraction(),
         }
 
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.as_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
     def decoupling_histogram_csv(self, path) -> None:
         """Histogram of decoupling times; the final row counts non-events."""
-        times = [t for t in self.decoupling_times if t is not None]
-        never = len(self.decoupling_times) - len(times)
+        times = self.decoupling_times[~np.isnan(self.decoupling_times)]
+        values, counts = np.unique(times.astype(np.int64), return_counts=True)
         with open(path, "w") as fh:
             fh.write("decoupling_time,count\n")
-            if times:
-                values, counts = np.unique(np.asarray(times, dtype=np.int64), return_counts=True)
-                for val, cnt in zip(values, counts):
-                    fh.write(f"{int(val)},{int(cnt)}\n")
-            fh.write(f"never,{never}\n")
+            for val, cnt in zip(values, counts):
+                fh.write(f"{int(val)},{int(cnt)}\n")
+            fh.write(f"never,{self.decoupling_times.size - times.size}\n")
 
 
 def _report(pair_name, params, seed, steps, trajectories, first, second,
-            decoupling=None, violations=0, **aux) -> CouplingReport:
+            decoupling, violations=0, **aux) -> CouplingReport:
     """The report of a coupled batch.  decoupling holds one time per
-    trajectory, NaN where the pair stayed coupled; None for a pair that
-    never decouples."""
-    times = [None] * trajectories if decoupling is None else [
-        None if math.isnan(t) else int(t) for t in decoupling
-    ]
-    return CouplingReport(pair_name, trajectories, steps, times, violations, params, seed,
+    trajectory, NaN where the pair stayed coupled."""
+    return CouplingReport(pair_name, trajectories, steps, decoupling, violations, params, seed,
                           first, second, aux)
 
 
@@ -203,7 +190,7 @@ def couple_z_yprime(
         ("z", "y", "violations"), steps, seed, trajectories, threads,
     )
     return _report("Z_YPrime", params, seed, steps, trajectories, z, y,
-                   violations=int(violations.sum()))
+                   np.full(trajectories, np.nan), int(violations.sum()))
 
 
 def verify_dominance_inequality(grid_v: int, grid_u: int, params: ModelParams) -> float:

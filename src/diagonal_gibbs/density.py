@@ -64,6 +64,12 @@ SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 # rejected outright; conditioning on them would be numerically meaningless.
 DEGENERATE_MASS = 1e-300
 
+# CDF-space slack of a folded cap: ``FoldedGaussian.quantile`` rejects a cap
+# hi with CDF(hi) < p - DOMINANCE_TOL, the monotone coupling in ``coupling``
+# counts a step whose cap fails the same test as an ordering violation, and
+# the CLI's dominance sweep allows the same slack.
+DOMINANCE_TOL = 1e-12
+
 # Newton refinement caps for the quantile solvers (see ``_newton``).  The
 # truncated solver starts from an inverse-normal estimate that is already
 # correct to a few ulps, so two polish steps suffice.  The folded solver
@@ -480,7 +486,10 @@ def _folded_quantile_core(center, sigma: float, p, hi=None):
     ``hi``, when given, must be a valid upper bracket (CDF(hi) >= p); the
     returned value then never exceeds it.  The monotone coupling passes the
     already-computed upper-chain draw here, which makes the coupled pair
-    ordered by construction instead of by luck in the last ulp.
+    ordered by construction instead of by luck in the last ulp.  A cap is
+    not checked here: the coupling counts one that fails as an ordering
+    violation, and ``FoldedGaussian.quantile`` rejects it.  At p = 1 the
+    quantile is ``hi``, or inf without a cap.
     """
     center = np.asarray(center, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -515,7 +524,11 @@ def _folded_quantile_core(center, sigma: float, p, hi=None):
 
     out = _newton(center + sigma * z0, np.zeros_like(p), bhi, residual, (center, p),
                   _FOLDED_NEWTON_STEPS, _ARRAY_OPS)
-    return np.where(p == 0.0, 0.0, out).reshape(shape)
+    # Hard edges are exact by contract, as in the truncated solver.
+    out = np.where(p == 0.0, 0.0, out)
+    if (p == 1.0).any():
+        out = np.where(p == 1.0, np.inf if hi is None else hi, out)
+    return out.reshape(shape)
 
 
 def _as_float_or_array(x, arr):
@@ -606,7 +619,15 @@ class FoldedGaussian:
         return _as_float_or_array(x, out)
 
     def quantile(self, p, hi=None):
+        """Quantile at p, never above the cap ``hi`` when one is given.
+
+        A cap must bracket the quantile, CDF(hi) >= p up to DOMINANCE_TOL;
+        it is tested after the solver's own checks of p and hi.
+        """
         out = _folded_quantile_core(self.center, self.sigma, p, hi=hi)
+        p = np.asarray(p, dtype=float)
+        if hi is not None and not np.all(self.cdf(hi) >= p - DOMINANCE_TOL):
+            raise ValueError("folded cap hi does not bracket the quantile: CDF(hi) < p")
         return _as_float_or_array(p, out)
 
 

@@ -425,12 +425,18 @@ def set_probability(dist: GridDistribution, boxes) -> float:
     """Probability of a union of disjoint axis-aligned boxes.
 
     Boxes are (u_lo, u_hi, v_lo, v_hi); cells cut by a box boundary
-    contribute proportionally to covered area.
+    contribute proportionally to covered area.  Boxes may share an edge;
+    two that overlap with positive area are rejected, since their common
+    part would be counted twice.
     """
+    boxes = list(boxes)
     total = 0.0
-    for (u_lo, u_hi, v_lo, v_hi) in boxes:
+    for i, (u_lo, u_hi, v_lo, v_hi) in enumerate(boxes):
         if not (0.0 <= u_lo <= u_hi <= 1.0 and 0.0 <= v_lo <= v_hi <= 1.0):
             raise GridError(f"box {(u_lo, u_hi, v_lo, v_hi)} not within the unit square")
+        for (p_lo, p_hi, q_lo, q_hi) in boxes[:i]:
+            if max(u_lo, p_lo) < min(u_hi, p_hi) and max(v_lo, q_lo) < min(v_hi, q_hi):
+                raise GridError(f"boxes {boxes[i]} and {(p_lo, p_hi, q_lo, q_hi)} overlap")
         wu = _axis_coverage(u_lo, u_hi, dist.n)
         wv = _axis_coverage(v_lo, v_hi, dist.n)
         total += float(wu @ dist.weights @ wv)

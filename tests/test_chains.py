@@ -6,6 +6,7 @@ Kolmogorov-Smirnov tests at the 1% level; moment references come from
 scipy.stats.truncnorm or closed-form half-normal formulas and are frozen.
 """
 
+import json
 import math
 import os
 
@@ -249,7 +250,7 @@ def test_run_w_increments_mean_zero():
     # total displacement after T zero-mean increments has sd sigma sqrt(T)
     params = ModelParams(10.0)
     T = 1_000_000
-    rec = run_w(0.5, T, params, seed=19, record_states=False)
+    rec = run_w(0.5, T, params, seed=19)
     assert abs(float(rec.terminal) - 0.5) <= 3.0 * params.sigma * math.sqrt(T)
 
 
@@ -283,6 +284,9 @@ def test_count_direction_changes_cases():
 def test_trajectory_record_shapes_and_csv(tmp_path):
     rec = run_x((0.1, 0.2), 50, ModelParams(10.0), seed=3)
     assert len(rec.states) == 51
+    # steps and the terminal state are read off the path
+    assert rec.steps == 50
+    assert np.array_equal(rec.terminal, rec.states[-1])
     path = tmp_path / "traj.csv"
     rec.to_csv(path)
     body = path.read_text().splitlines()
@@ -301,21 +305,10 @@ def test_trajectory_record_scalar_csv(tmp_path):
     assert len(body) == 22
 
 
-def test_trajectory_record_without_states(tmp_path):
-    rec = run_y(0.3, 20, ModelParams(10.0), seed=3, record_states=False)
-    assert rec.states is None
-    assert rec.stopping_times["nu_m"] is not None or rec.terminal is not None
-    with pytest.raises(ValueError):
-        rec.to_csv(tmp_path / "nope.csv")
-
-
-def test_trajectory_summary_json(tmp_path):
-    import json
-
+def test_trajectory_summary_json():
+    # the summary is what the CLI writes as JSON
     rec = run_x((0.5, 0.5), 30, ModelParams(10.0), seed=44)
-    out = tmp_path / "summary.json"
-    rec.summary_json(out)
-    data = json.loads(out.read_text())
+    data = json.loads(json.dumps(rec.summary()))
     assert data["process"] == "X"
     assert data["steps"] == 30
     assert "direction_changes" in data
@@ -425,7 +418,7 @@ def test_flip_identity_y_matches_xstar_newest_coordinate():
     runs = 4000
     newest = np.empty(runs)
     for i in range(runs):
-        rec = run_xstar((0.2, 0.9), t, params, seed=100_000 + i, record_states=False)
+        rec = run_xstar((0.2, 0.9), t, params, seed=100_000 + i)
         # odd t: the v coordinate was updated last
         newest[i] = rec.terminal[1]
     ens = run_y_ensemble(0.2, t, params, seed=555, trajectories=runs)
@@ -440,7 +433,7 @@ def test_conditional_identity_x_given_change_count():
     t, k, runs = 30, 14, 6000
     cond_u, cond_v = [], []
     for i in range(runs):
-        rec = run_x((0.2, 0.7), t, params, seed=200_000 + i, record_states=False)
+        rec = run_x((0.2, 0.7), t, params, seed=200_000 + i)
         if rec.direction_sequence[0] != "V":
             continue
         if count_direction_changes(rec.direction_sequence) != k:
@@ -449,7 +442,7 @@ def test_conditional_identity_x_given_change_count():
         cond_v.append(rec.terminal[1])
     star_u, star_v = [], []
     for i in range(runs // 2):
-        rec = run_xstar((0.2, 0.7), k + 1, params, seed=300_000 + i, record_states=False)
+        rec = run_xstar((0.2, 0.7), k + 1, params, seed=300_000 + i)
         star_u.append(rec.terminal[0])
         star_v.append(rec.terminal[1])
     assert len(cond_u) > 150

@@ -7,7 +7,7 @@ preservation is checked by two-sample KS tests at the 1% level against
 independently simulated chains.
 """
 
-import json
+import hashlib
 import math
 
 import numpy as np
@@ -118,7 +118,7 @@ def test_couple_z_yprime_ordering_and_report():
     assert report.ordering_violations == 0
     assert np.all(np.asarray(report.terminal_first) <= np.asarray(report.terminal_second))
     # this pair never decouples; it is ordered forever
-    assert all(t is None for t in report.decoupling_times)
+    assert np.isnan(report.decoupling_times).all()
     assert report.decoupled_fraction() == 0.0
 
 
@@ -146,9 +146,7 @@ def test_couple_z_yprime_deterministic():
 def test_coupling_report_serialization(tmp_path):
     params = ModelParams(10.0)
     report = couple_z_yprime(0.5, 50, params, seed=66, trajectories=100)
-    out = tmp_path / "report.json"
-    report.to_json(out)
-    data = json.loads(out.read_text())
+    data = report.as_dict()
     assert data["pair"] == "Z_YPrime"
     assert data["trajectories"] == 100
     assert data["ordering_violations"] == 0
@@ -159,6 +157,28 @@ def test_coupling_report_serialization(tmp_path):
     assert lines[-1] == "never,100"
 
 
+@pytest.mark.parametrize("couple, start, a, seed, digest, rows, never", [
+    (couple_y_w, 0.5, 30.0, 71,
+     "516af637ed71060856a77afcbf4b42d7d4ea2167ec00c829c66909a9dd25e25c", 163, 3756),
+    (couple_y_yprime, 0.1, 10.0, 4,
+     "d237501353396d50020009c9937042499594bc5f23117437af472e3c54f541e6", 188, 1949),
+], ids=["y_w", "y_yprime"])
+def test_decoupling_histogram_of_pairs_that_decouple(tmp_path, couple, start, a, seed,
+                                                      digest, rows, never):
+    # the histogram's bytes are pinned, and its rows are the distinct finite
+    # decoupling times with their counts
+    report = couple(start, 200, ModelParams(a), seed=seed, trajectories=5000)
+    hist = tmp_path / "hist.csv"
+    report.decoupling_histogram_csv(hist)
+    assert hashlib.sha256(hist.read_bytes()).hexdigest() == digest
+    lines = hist.read_text().splitlines()
+    assert len(lines) == rows
+    assert lines[-1] == f"never,{never}"
+    times = report.decoupling_times
+    values, counts = np.unique(times[~np.isnan(times)], return_counts=True)
+    assert lines[1:-1] == [f"{int(v)},{c}" for v, c in zip(values, counts)]
+
+
 # ----------------------------------------------------------------------
 # flip chain with the free walk
 # ----------------------------------------------------------------------
@@ -167,7 +187,7 @@ def test_couple_y_w_identical_until_exit():
     # trajectories whose walk never left [0,1] end bit-identical
     params = ModelParams(30.0)
     report = couple_y_w(0.5, 200, params, seed=71, trajectories=5000)
-    never = np.array([t is None for t in report.decoupling_times])
+    never = np.isnan(report.decoupling_times)
     assert never.any()
     first = np.asarray(report.terminal_first)[never]
     second = np.asarray(report.terminal_second)[never]
@@ -216,7 +236,7 @@ def test_couple_y_w_marginal_is_undistorted():
 def test_couple_y_yprime_identical_until_overshoot():
     params = ModelParams(30.0)
     report = couple_y_yprime(0.1, 400, params, seed=81, trajectories=5000)
-    never = np.array([t is None for t in report.decoupling_times])
+    never = np.isnan(report.decoupling_times)
     first = np.asarray(report.terminal_first)[never]
     second = np.asarray(report.terminal_second)[never]
     assert np.array_equal(first, second)
@@ -234,9 +254,7 @@ def test_couple_y_yprime_no_early_decoupling():
     params = ModelParams(30.0)
     steps = int(params.a**2)
     report = couple_y_yprime(0.1, steps, params, seed=82, trajectories=10_000)
-    nu_c1 = np.array(
-        [math.inf if t is None else t for t in report.decoupling_times]
-    )
+    nu_c1 = np.where(np.isnan(report.decoupling_times), math.inf, report.decoupling_times)
     # a run that never reached 1/2 - delta has nu_m_tilde NaN: any
     # decoupling in it is early
     nu_mt = np.asarray(report.aux["nu_m_tilde"], dtype=float)
@@ -256,8 +274,10 @@ def test_couple_y_yprime_deterministic():
 def test_decoupling_times_within_horizon():
     params = ModelParams(100.0)
     report = couple_y_w(0.5, 500, params, seed=84, trajectories=3000)
-    for t in report.decoupling_times:
-        assert t is None or 0 <= t <= 500
+    times = report.decoupling_times
+    assert times is report.aux["nu_c2"]
+    finite = times[~np.isnan(times)]
+    assert np.all((finite >= 0) & (finite <= 500) & (finite == np.floor(finite)))
 
 
 # ----------------------------------------------------------------------

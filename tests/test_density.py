@@ -313,13 +313,47 @@ def test_folded_quantile_broadcasts_hi():
     # the monotone coupling's array of upper centers
     params = ModelParams(10.0)
     dist = FoldedGaussian(0.1, params.sigma2)
-    caps = np.array([0.1, 0.2])
+    # caps must bracket the median, 0.100407: one at it, one above it
+    caps = np.array([dist.quantile(0.5), 0.2])
     _assert_same_bits(dist.quantile(0.5, hi=caps), [dist.quantile(0.5, hi=c) for c in caps])
     uppers = np.array([0.1, 0.2])
     lower, upper = coupling.monotone_couple_step(0.0, uppers, 0.3, params)
     pairs = [coupling.monotone_couple_step(0.0, c, 0.3, params) for c in uppers]
     _assert_same_bits(lower, [pair[0] for pair in pairs])
     _assert_same_bits(upper, [pair[1] for pair in pairs])
+
+
+def test_folded_quantile_hard_edges():
+    # p = 1 is the cap, or inf without one, as the truncated quantile's
+    # upper edge is; p = 0 is the fold
+    s2 = ModelParams(10.0).sigma2
+    dist = FoldedGaussian(0.1, s2)
+    assert dist.quantile(1.0) == math.inf
+    assert dist.quantile(1.0) == TruncatedGaussian(0.1, s2, 0.0, math.inf).quantile(1.0)
+    assert dist.quantile(1.0, hi=2.0) == 2.0
+    _assert_same_bits(dist.quantile(np.array([0.0, 0.5, 1.0])),
+                      [0.0, dist.quantile(0.5), math.inf])
+    _assert_same_bits(density._folded_quantile_core(0.1, dist.sigma, np.array([0.5, 1.0]),
+                                                    hi=np.array([0.3, 0.2])),
+                      [dist.quantile(0.5, hi=0.3), 0.2])
+
+
+def test_folded_quantile_rejects_cap_below_the_quantile():
+    # CDF(0.1) = 0.4977 < 1/2, so 0.1 caps the median off; the solver alone
+    # would return the cap
+    dist = FoldedGaussian(0.1, ModelParams(10.0).sigma2)
+    with pytest.raises(ValueError, match="does not bracket"):
+        dist.quantile(0.5, hi=0.1)
+    with pytest.raises(ValueError, match="does not bracket"):
+        dist.quantile(np.array([0.2, 0.5]), hi=0.1)
+    with pytest.raises(ValueError, match="does not bracket"):
+        dist.quantile(1.0, hi=0.3)
+    assert density._folded_quantile_core(0.1, dist.sigma, 0.5, hi=0.1) == 0.1
+    # the median itself, and caps within DOMINANCE_TOL of the target, bracket it
+    median = dist.quantile(0.5)
+    assert median == pytest.approx(0.100407, abs=1e-6)
+    assert dist.quantile(0.5, hi=median) == median
+    assert dist.quantile(dist.cdf(0.1) + 0.5 * density.DOMINANCE_TOL, hi=0.1) <= 0.1
 
 
 @pytest.mark.parametrize("hi", [-1.0, math.nan, np.array([0.2, -1e-300])])
@@ -496,7 +530,8 @@ def _ref_folded_quantile(center, sigma, p, hi=None):
         candidate = x - step
         inside = (candidate >= blo) & (candidate <= bhi)
         x = np.where(inside, candidate, 0.5 * (blo + bhi))
-    return np.where(p == 0.0, 0.0, x)
+    x = np.where(p == 0.0, 0.0, x)
+    return np.where(p == 1.0, math.inf if hi is None else hi, x)
 
 
 def _assert_same_bits(got, want):

@@ -1,7 +1,7 @@
 """Golden digests of every simulation runner's seeded output.
 
 Each runner's outputs over a fixed table of starts, parameters, step
-counts, ``record_states`` values and ensemble layouts are hashed into one
+counts and ensemble layouts are hashed into one
 sha256: array dtype, shape and bytes, record fields, stopping times and
 decoupling times.  Any change to a random stream layout, a step rule, a
 hitting-time rule or an output dtype changes the digest.
@@ -62,19 +62,19 @@ _CHUNKED = {
 }
 
 _EXPECTED = {
-    "couple_y_w": "42eb602cd29f7dd69175f9ddb4da8cfad4c0c93a4d86f063db906c697c7cc96e",
-    "couple_y_yprime": "3d6d1a8fa39247ac35be3cbd2b11d7ce4372c637389ce661f5850b3ffe7ffe23",
-    "couple_z_yprime": "c7de2b28a79871c70637cd3546ff0d67806a3e1aefd3bcbb0e94fb000385d2a0",
-    "run_w": "3063424e45da7ffeefc0be78cf1c107e5bfbf464d74b64aa8fd2b89ebd060fe2",
+    "couple_y_w": "08dd4074cff2d0d6968b1a5b7102c6ca14d423e93365e1b6666ae7c9dcab63b8",
+    "couple_y_yprime": "9112956bdf241819f28aae20c4974a94051497254f25645a1826a081375d204e",
+    "couple_z_yprime": "8b8cab35665aa8f00c4c82bb5bbebd61ef5666a9e0661063019397dfc5adcf62",
+    "run_w": "175ecb05f4b338b4456ac324dba6c244c0e7ee992758b7ada47394600fd92413",
     "run_w_ensemble": "f6b014a2432a362b7236d6d25b44c58677b7e63c775cd2d079eee3ad71a34f39",
-    "run_x": "35c9bcec04f04b5c38681e140cc00bb802a198104ad844be38f1ce685e193c68",
+    "run_x": "f1f380da62fa6ca184c9555c02a1b9aad8639201c88378f53075ba55c7406cce",
     "run_x_ensemble": "50e3ffd0125ffa2b40a704a1db8e4a12be69e9038c8fba7f45294b8a8bc0c8a3",
-    "run_xstar": "77e585a77fab83e43a70066b2b8a5c02e7b568bc60537119c1fd4a2310a92352",
-    "run_y": "aeaa175b1996e40e24e4b1f1be64d61d13ee864dbcfc2158bebef73006b6092b",
+    "run_xstar": "a759ce444270c04fb736b29540bdda8be82456c41fbb7b2d8af4b0dc90943ab4",
+    "run_y": "1048ce021b2efef6167f50816f348a7fe372e67cfbf48a3b55c7431b52325372",
     "run_y_ensemble": "71da3780c413990b95001aaef0d679838384d00aeec524b82a8d29f8db007e58",
-    "run_y_prime": "53c0554f836ccb136c37dbc5557dca22d5def739c71cc3748c276c829ce8e000",
+    "run_y_prime": "c39ec8ae159c049356e1ce24d08a5ef4f21d247386c7123f1bf60fa43013ae8c",
     "run_y_prime_ensemble": "8b6eeadcbe697606c1651e1e201af65a8852f1128c8c0f128736b755f0d849a5",
-    "run_z": "883764cac57a1754732d5e6d62c2ab15144b2fb25eaae081661b896e518a9466",
+    "run_z": "4637e070ca3cc88d62488392e01e5f8d24b9c30304689c9f5979b45a5aaa0845",
     "run_z_ensemble": "4ad74b1a1d2cae614023e181418b7a92dd5ca9b29d672799887972529595f642",
 }
 
@@ -103,11 +103,10 @@ def _outputs(name: str) -> list:
     if name in _SINGLE:
         runner, start = _SINGLE[name]
         return [
-            runner(start, steps, params, seed, record_states=record)
+            runner(start, steps, params, seed)
             for params in _PARAMS
             for steps in (0, 1, 7, 300)
             for seed in (0, 11)
-            for record in (True, False)
         ]
     runner, start = _CHUNKED[name]
     out = [

@@ -583,6 +583,22 @@ def test_set_probability_rejects_bad_boxes():
         set_probability(dist, [(0.0, 1.5, 0.0, 1.0)])
 
 
+def test_set_probability_rejects_overlapping_boxes():
+    # a union of boxes that overlap with positive area would count their
+    # common part twice; boxes that share only an edge or a corner are disjoint
+    dist = build_discretized_target(ModelParams(10.0), 20)
+    for boxes in ([(0.0, 1.0, 0.0, 1.0), (0.0, 1.0, 0.0, 1.0)],
+                  [(0.0, 0.5, 0.0, 0.5), (0.25, 0.75, 0.25, 0.75)],
+                  iter([(0.1, 0.2, 0.0, 1.0), (0.0, 1.0, 0.1, 0.2)])):
+        with pytest.raises(GridError, match="overlap"):
+            set_probability(dist, boxes)
+    halves = [(0.0, 0.5, 0.0, 1.0), (0.5, 1.0, 0.0, 1.0)]
+    assert set_probability(dist, halves) == pytest.approx(1.0, abs=1e-12)
+    quarters = [(0.0, 0.5, 0.0, 0.5), (0.5, 1.0, 0.5, 1.0), (0.5, 1.0, 0.0, 0.5)]
+    assert set_probability(dist, quarters) == pytest.approx(
+        1.0 - set_probability(dist, [(0.0, 0.5, 0.5, 1.0)]), abs=1e-12)
+
+
 # ----------------------------------------------------------------------
 # heatmap export
 # ----------------------------------------------------------------------
