@@ -21,8 +21,6 @@ from .density import (
     gaussian_tail_bound,
     marginal_density_pu,
     phi,
-    truncated_cdf,
-    truncated_quantile,
 )
 from .chains import (
     TrajectoryRecord,
@@ -38,7 +36,6 @@ from .chains import (
     run_y_prime_ensemble,
     run_z,
     run_z_ensemble,
-    step_x,
 )
 from .coupling import (
     CouplingReport,
@@ -87,8 +84,6 @@ __all__ = [
     "gaussian_tail_bound",
     "marginal_density_pu",
     "phi",
-    "truncated_cdf",
-    "truncated_quantile",
     "TrajectoryRecord",
     "count_direction_changes",
     "run_w",
@@ -102,7 +97,6 @@ __all__ = [
     "run_y_prime_ensemble",
     "run_z",
     "run_z_ensemble",
-    "step_x",
     "CouplingReport",
     "couple_y_w",
     "couple_y_yprime",

@@ -70,6 +70,9 @@ DIRECTION_V = "V"
 # i % _CHUNK, regardless of how many trajectories or threads are used.
 _CHUNK = 16384
 
+# rows per block that ``TrajectoryRecord.to_csv`` converts to Python floats
+_CSV_ROWS = 65536
+
 
 def _master_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
@@ -145,13 +148,15 @@ class TrajectoryRecord:
     def to_csv(self, path) -> None:
         """Dump the recorded path as CSV with columns step,value(s)."""
         states = np.atleast_2d(np.asarray(self.states, dtype=float).T).T
-        wide = states.shape[1] == 2
-        header = "step,u,v" if wide else "step,value"
+        header = "step,u,v\n" if states.shape[1] == 2 else "step,value\n"
         with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for t, state in enumerate(states):
-                row = ",".join(repr(float(x)) for x in state)
-                fh.write(f"{t},{row}\n")
+            fh.write(header)
+            # converted and written a block of rows at a time, so memory stays flat
+            for t0 in range(0, len(states), _CSV_ROWS):
+                block = states[t0:t0 + _CSV_ROWS].tolist()
+                fh.writelines(
+                    f"{t},{','.join(map(repr, row))}\n" for t, row in enumerate(block, t0)
+                )
 
     def summary(self) -> dict:
         term = np.atleast_1d(np.asarray(self.terminal, dtype=float))
@@ -182,31 +187,6 @@ def count_direction_changes(directions) -> int:
     if arr.size == 1:
         return 0
     return int(np.count_nonzero(arr[1:] != arr[:-1]))
-
-
-# ======================================================================
-# single steps
-# ======================================================================
-
-def step_x(state, direction: str, rng_draw: float, params: ModelParams):
-    """One sampler transition: rerandomize the chosen coordinate.
-
-    The new coordinate is the inverse-CDF image of ``rng_draw`` under the
-    [0,1]-truncated Gaussian centered at the other coordinate.
-    """
-    u, v = float(state[0]), float(state[1])
-    if not (0.0 <= u <= 1.0 and 0.0 <= v <= 1.0):
-        raise ValueError(f"state ({u}, {v}) outside the unit square")
-    if not (0.0 <= rng_draw <= 1.0):
-        raise ValueError(f"rng_draw must lie in [0, 1], got {rng_draw}")
-    if direction == DIRECTION_U:
-        u = float(_trunc_quantile_core(v, params.sigma, 0.0, 1.0, rng_draw))
-    elif direction == DIRECTION_V:
-        v = float(_trunc_quantile_core(u, params.sigma, 0.0, 1.0, rng_draw))
-    else:
-        raise ValueError(f"direction must be 'U' or 'V', got {direction!r}")
-    return (u, v)
-
 
 
 # ======================================================================

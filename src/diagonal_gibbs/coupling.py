@@ -24,9 +24,12 @@ step's shared randomness in stream order, ``step`` moves both chains of
 the pair, held side by side in one state dict, and the decoupling times
 are named first-hit predicates on that state (nu_c1 is the first step at
 which the pair is no longer coupled).  ``chains._run_ensemble`` runs all
-three, chunked and threaded like the single-process ensembles, and a
-``CouplingReport`` keeps the decoupling times as the float array it
-returns: NaN where the pair stayed coupled.
+three, chunked and threaded like the single-process ensembles.  A
+``CouplingReport`` holds only what the run computed: the pair name, the
+decoupling times as the float array the engine returns (NaN where the
+pair stayed coupled), the ordering-violation count, both chains' terminal
+states and the pair's per-trajectory ``aux`` arrays.  The caller's
+arguments (start, steps, params, seed) are not stored again.
 
 Ordering bookkeeping for Z/YPrime: the upper draw is computed first and
 passed to the folded quantile solver as a bracket, which it is entitled to
@@ -72,16 +75,14 @@ class CouplingReport:
     for the never-decoupling Z_YPrime pair); for the other two pairs it is
     the same array as aux["nu_c1"] or aux["nu_c2"].
     ordering_violations applies to Z_YPrime and must be 0 for a correct
-    implementation.  aux carries pair-specific per-trajectory extras.
+    implementation.  terminal_first and terminal_second are the final
+    states of the pair's two chains, in the order of pair_name.  aux
+    carries pair-specific per-trajectory extras.
     """
 
     pair_name: str
-    trajectories: int
-    steps_per_trajectory: int
     decoupling_times: np.ndarray
     ordering_violations: int
-    params_used: ModelParams
-    seed: int
     terminal_first: np.ndarray
     terminal_second: np.ndarray
     aux: dict = field(default_factory=dict)
@@ -92,19 +93,7 @@ class CouplingReport:
 
     def decoupled_fraction(self) -> float:
         hits = np.count_nonzero(~np.isnan(self.decoupling_times))
-        return hits / self.trajectories if self.trajectories else 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "pair": self.pair_name,
-            "trajectories": self.trajectories,
-            "steps_per_trajectory": self.steps_per_trajectory,
-            "a": self.params_used.a,
-            "delta": self.params_used.delta,
-            "seed": self.seed,
-            "ordering_violations": self.ordering_violations,
-            "decoupled_fraction": self.decoupled_fraction(),
-        }
+        return hits / self.decoupling_times.size
 
     def decoupling_histogram_csv(self, path) -> None:
         """Histogram of decoupling times; the final row counts non-events."""
@@ -115,14 +104,6 @@ class CouplingReport:
             for val, cnt in zip(values, counts):
                 fh.write(f"{int(val)},{int(cnt)}\n")
             fh.write(f"never,{self.decoupling_times.size - times.size}\n")
-
-
-def _report(pair_name, params, seed, steps, trajectories, first, second,
-            decoupling, violations=0, **aux) -> CouplingReport:
-    """The report of a coupled batch.  decoupling holds one time per
-    trajectory, NaN where the pair stayed coupled."""
-    return CouplingReport(pair_name, trajectories, steps, decoupling, violations, params, seed,
-                          first, second, aux)
 
 
 # ======================================================================
@@ -189,12 +170,12 @@ def couple_z_yprime(
         _Process(_uniforms, step, {}), {"z": z0, "y": z0, "violations": 0},
         ("z", "y", "violations"), steps, seed, trajectories, threads,
     )
-    return _report("Z_YPrime", params, seed, steps, trajectories, z, y,
-                   np.full(trajectories, np.nan), int(violations.sum()))
+    return CouplingReport("Z_YPrime", np.full(trajectories, np.nan), int(violations.sum()), z, y)
 
 
 def verify_dominance_inequality(grid_v: int, grid_u: int, params: ModelParams) -> float:
-    """Minimum of folded_cdf(v_bar; u) - truncated_cdf(v; u) over a grid.
+    """Minimum of the folded CDF at u around v_bar minus the half-line
+    truncated CDF at u around v, over a grid.
 
     The sweep covers 0 <= v_bar <= v <= 3 and u in [0, 3].  The inequality
     says the folded Gaussian around the lower center puts at least as much
@@ -266,7 +247,7 @@ def couple_y_w(
         _Process(draw, step, {"nu_c2": _outside_unit}), {"w": w0, "y": w0},
         ("y", "w", "nu_c2"), steps, seed, trajectories, threads,
     )
-    return _report("Y_W", params, seed, steps, trajectories, y, w, nu_c2, nu_c2=nu_c2)
+    return CouplingReport("Y_W", nu_c2, 0, y, w, {"nu_c2": nu_c2})
 
 
 # ======================================================================
@@ -315,5 +296,4 @@ def couple_y_yprime(
         _Process(draw, step, hits), {"y": y0, "yp": y0, "coupled": True},
         ("y", "yp", "nu_c1", "nu_m_tilde"), steps, seed, trajectories, threads,
     )
-    return _report("Y_YPrime", params, seed, steps, trajectories, y, yp, nu_c1,
-                   nu_c1=nu_c1, nu_m_tilde=nu_m_tilde)
+    return CouplingReport("Y_YPrime", nu_c1, 0, y, yp, {"nu_c1": nu_c1, "nu_m_tilde": nu_m_tilde})

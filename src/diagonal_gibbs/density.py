@@ -631,16 +631,6 @@ class FoldedGaussian:
         return _as_float_or_array(p, out)
 
 
-def truncated_cdf(dist: TruncatedGaussian, x):
-    """Functional alias for dist.cdf(x)."""
-    return dist.cdf(x)
-
-
-def truncated_quantile(dist: TruncatedGaussian, p):
-    """Functional alias for dist.quantile(p)."""
-    return dist.quantile(p)
-
-
 def conditional_on_unit_interval(center: float, params: ModelParams) -> TruncatedGaussian:
     """The one-coordinate conditional: N(center, sigma^2) truncated to [0, 1]."""
     return TruncatedGaussian(center, params.sigma2, 0.0, 1.0)

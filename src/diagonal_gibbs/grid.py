@@ -117,7 +117,6 @@ class GibbsKernel1D:
     reversible stationary distribution.
     """
 
-    n: int
     matrix: np.ndarray
     marginal: np.ndarray
 
@@ -144,8 +143,8 @@ class MixingResult:
     def tv_curve_csv(self, path) -> None:
         with open(path, "w") as fh:
             fh.write("t,tv\n")
-            for t, tv in enumerate(self.tv_curve):
-                fh.write(f"{t},{float(tv)!r}\n")
+            curve = np.asarray(self.tv_curve, dtype=float).tolist()
+            fh.writelines(f"{t},{tv!r}\n" for t, tv in enumerate(curve))
 
 
 # ======================================================================
@@ -200,7 +199,7 @@ def build_kernel_1d(params: ModelParams, n: int) -> GibbsKernel1D:
     joint = _normalized_joint(params, n)
     marginal = joint.sum(axis=0)
     matrix = (joint / marginal[np.newaxis, :]).T
-    return GibbsKernel1D(n=n, matrix=matrix, marginal=marginal)
+    return GibbsKernel1D(matrix=matrix, marginal=marginal)
 
 
 def _start_cell(u: float, v: float, n: int) -> tuple[int, int]:

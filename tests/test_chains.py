@@ -14,8 +14,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from diagonal_gibbs import chains
 from diagonal_gibbs import (
+    MixingResult,
     ModelParams,
+    TrajectoryRecord,
     count_direction_changes,
     couple_y_w,
     couple_y_yprime,
@@ -31,51 +34,7 @@ from diagonal_gibbs import (
     run_y_prime_ensemble,
     run_z,
     run_z_ensemble,
-    step_x,
 )
-
-
-# ----------------------------------------------------------------------
-# single steps
-# ----------------------------------------------------------------------
-
-def test_step_x_median_draw():
-    # median of the symmetric truncation centered at 0.5 is 0.5
-    params = ModelParams(10.0)
-    state = step_x((0.5, 0.2), "V", 0.5, params)
-    assert state[0] == 0.5
-    assert state[1] == pytest.approx(0.5, abs=1e-12)
-
-
-def test_step_x_preserves_other_coordinate_exactly():
-    params = ModelParams(10.0)
-    state = step_x((0.3, 0.7), "U", 0.42, params)
-    assert state[1] == 0.7
-    state = step_x((0.3, 0.7), "V", 0.42, params)
-    assert state[0] == 0.3
-
-
-def test_step_x_validates_inputs():
-    params = ModelParams(10.0)
-    with pytest.raises(ValueError):
-        step_x((0.5, 0.5), "Q", 0.5, params)
-    with pytest.raises(ValueError):
-        step_x((0.5, 0.5), "U", 1.5, params)
-    with pytest.raises(ValueError):
-        step_x((1.5, 0.5), "U", 0.5, params)
-
-
-def test_step_x_truncated_moment():
-    # frozen oracle: scipy.stats.truncnorm mean/std for center 0.9,
-    # support [0,1], a = 50
-    params = ModelParams(50.0)
-    rng = np.random.default_rng(8)
-    n = 10_000
-    draws = np.array(
-        [step_x((0.9, 0.9), "U", float(u), params)[0] for u in rng.random(n)]
-    )
-    ref_mean, ref_std = 0.8999999999999216, 0.014142135623453926
-    assert abs(draws.mean() - ref_mean) <= 3.0 * ref_std / math.sqrt(n)
 
 
 # ----------------------------------------------------------------------
@@ -303,6 +262,38 @@ def test_trajectory_record_scalar_csv(tmp_path):
     body = path.read_text().splitlines()
     assert body[0] == "step,value"
     assert len(body) == 22
+
+
+# signed zero, the smallest subnormal, the smallest normal, the largest
+# double below 1, a sum that is not 0.3, and a value near the top of range
+_EDGE_VALUES = np.array([-0.0, 5e-324, 2.2250738585072014e-308, 1.0 - 2.0**-53, 0.1 + 0.2, 1e308])
+
+
+def _assert_csv_round_trip(path, header, values):
+    lines = path.read_text().splitlines()
+    assert lines[0] == header
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(row[0]) for row in rows] == list(range(len(values)))
+    texts = [row[1:] for row in rows]
+    expected = values.reshape(len(values), -1)
+    parsed = np.array([[float(x) for x in row] for row in texts])
+    assert np.array_equal(parsed.view(np.int64), expected.view(np.int64))
+    assert texts == [[repr(x) for x in row] for row in expected.tolist()]
+
+
+@pytest.mark.parametrize("rows", [len(_EDGE_VALUES), chains._CSV_ROWS + 3])
+def test_csv_writers_round_trip_exactly(tmp_path, rows):
+    # every value is written as its repr and reads back with the same bits,
+    # across the record writer's row blocks too
+    scalar = np.resize(_EDGE_VALUES, rows)
+    wide = np.column_stack((scalar, scalar[::-1]))
+    params = ModelParams(10.0)
+    TrajectoryRecord("W", 0, params, scalar).to_csv(tmp_path / "w.csv")
+    _assert_csv_round_trip(tmp_path / "w.csv", "step,value", scalar)
+    TrajectoryRecord("X", 0, params, wide).to_csv(tmp_path / "x.csv")
+    _assert_csv_round_trip(tmp_path / "x.csv", "step,u,v", wide)
+    MixingResult(10.0, 4, 0.25, (0.0, 0.0), rows - 1, scalar).tv_curve_csv(tmp_path / "tv.csv")
+    _assert_csv_round_trip(tmp_path / "tv.csv", "t,tv", scalar)
 
 
 def test_trajectory_summary_json():

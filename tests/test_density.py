@@ -25,8 +25,6 @@ from diagonal_gibbs import (
     gaussian_tail_bound,
     marginal_density_pu,
     phi,
-    truncated_cdf,
-    truncated_quantile,
 )
 
 
@@ -95,7 +93,7 @@ def test_model_params_validation():
 
 def test_truncated_cdf_symmetric_midpoint():
     dist = TruncatedGaussian(0.5, ModelParams(10.0).sigma2, 0.0, 1.0)
-    assert truncated_cdf(dist, 0.5) == pytest.approx(0.5, abs=1e-14)
+    assert dist.cdf(0.5) == pytest.approx(0.5, abs=1e-14)
 
 
 def test_truncated_cdf_noop_truncation_matches_gaussian():
@@ -103,20 +101,20 @@ def test_truncated_cdf_noop_truncation_matches_gaussian():
     dist = TruncatedGaussian(0.4, params.sigma2)
     for x in (0.1, 0.4, 0.9):
         expected = std_cdf((x - 0.4) / params.sigma)
-        assert truncated_cdf(dist, x) == pytest.approx(expected, abs=1e-14)
+        assert dist.cdf(x) == pytest.approx(expected, abs=1e-14)
 
 
 def test_truncated_cdf_halfnormal_identity():
     # center 0 on [0, inf): cdf(x) = 2(Phi(x sqrt(2) a) - 1/2) = erf(a x);
     # oracle: erf(0.5) evaluated independently
     dist = conditional_on_half_line(0.0, ModelParams(10.0))
-    assert truncated_cdf(dist, 0.05) == pytest.approx(0.5204998778130465, abs=1e-14)
+    assert dist.cdf(0.05) == pytest.approx(0.5204998778130465, abs=1e-14)
 
 
 def test_truncated_cdf_clamps_outside_support():
     dist = TruncatedGaussian(0.5, ModelParams(10.0).sigma2, 0.0, 1.0)
-    assert truncated_cdf(dist, -0.2) == 0.0
-    assert truncated_cdf(dist, 1.7) == 1.0
+    assert dist.cdf(-0.2) == 0.0
+    assert dist.cdf(1.7) == 1.0
 
 
 def test_truncated_support_edges_random_sweep():
@@ -133,34 +131,34 @@ def test_truncated_support_edges_random_sweep():
         ) / (1.0 / (a * math.sqrt(2))) > 30.0:
             continue  # would be a degenerate truncation, tested separately
         dist = TruncatedGaussian(center, 1.0 / (2.0 * a * a), lo, hi)
-        assert truncated_cdf(dist, lo) <= 1e-12
-        assert abs(truncated_cdf(dist, hi) - 1.0) <= 1e-12
+        assert dist.cdf(lo) <= 1e-12
+        assert abs(dist.cdf(hi) - 1.0) <= 1e-12
         xs = np.sort(rng.uniform(lo, hi, 8))
-        vals = truncated_cdf(dist, xs)
+        vals = dist.cdf(xs)
         assert np.all(np.diff(vals) >= -1e-15)
 
 
 def test_truncated_quantile_median_symmetric():
     dist = TruncatedGaussian(0.5, ModelParams(25.0).sigma2, 0.0, 1.0)
-    assert truncated_quantile(dist, 0.5) == pytest.approx(0.5, abs=1e-12)
+    assert dist.quantile(0.5) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_truncated_quantile_round_trip():
     dist = TruncatedGaussian(0.3, ModelParams(50.0).sigma2, 0.0, 1.0)
     x = 0.3
-    assert truncated_quantile(dist, truncated_cdf(dist, x)) == pytest.approx(x, abs=1e-9)
+    assert dist.quantile(dist.cdf(x)) == pytest.approx(x, abs=1e-9)
 
 
 def test_truncated_quantile_edges():
     dist = TruncatedGaussian(0.5, ModelParams(10.0).sigma2, 0.0, 1.0)
-    assert truncated_quantile(dist, 0.0) == 0.0
-    assert truncated_quantile(dist, 1.0) == 1.0
+    assert dist.quantile(0.0) == 0.0
+    assert dist.quantile(1.0) == 1.0
 
 
 def test_truncated_quantile_far_tail():
     # oracle: brentq bisection on the truncated cdf, xtol 1e-15
     dist = TruncatedGaussian(0.9, ModelParams(10.0).sigma2, 0.0, 1.0)
-    q = truncated_quantile(dist, 0.999)
+    q = dist.quantile(0.999)
     assert q < 1.0
     assert q == pytest.approx(0.9995580467957469, abs=1e-9)
 
@@ -178,7 +176,14 @@ def test_truncated_quantile_matches_truncnorm():
         ref = truncnorm.ppf(
             p, (lo - center) / sigma, (hi - center) / sigma, loc=center, scale=sigma
         )
-        assert truncated_quantile(dist, p) == pytest.approx(ref, abs=5e-10)
+        assert dist.quantile(p) == pytest.approx(ref, abs=5e-10)
+    # frozen truncnorm mean and std for center 0.9, support [0, 1], a = 50:
+    # the mean of 10^4 draws lies within 3 standard errors
+    dist = conditional_on_unit_interval(0.9, ModelParams(50.0))
+    n = 10_000
+    draws = dist.quantile(np.random.default_rng(8).random(n))
+    ref_mean, ref_std = 0.8999999999999216, 0.014142135623453926
+    assert abs(draws.mean() - ref_mean) <= 3.0 * ref_std / math.sqrt(n)
 
 
 def test_truncated_quantile_cdf_round_trip_sweep():
@@ -189,21 +194,21 @@ def test_truncated_quantile_cdf_round_trip_sweep():
         center = float(rng.uniform(0.0, 1.0))
         dist = TruncatedGaussian(center, 1.0 / (2.0 * a * a), 0.0, 1.0)
         p = float(rng.uniform(5e-5, 1.0 - 5e-5))
-        x = truncated_quantile(dist, p)
-        assert truncated_cdf(dist, x) == pytest.approx(p, abs=1e-9)
+        x = dist.quantile(p)
+        assert dist.cdf(x) == pytest.approx(p, abs=1e-9)
 
 
 def test_truncated_quantile_rejects_bad_p():
     dist = TruncatedGaussian(0.5, ModelParams(10.0).sigma2, 0.0, 1.0)
     with pytest.raises(ValueError):
-        truncated_quantile(dist, -0.1)
+        dist.quantile(-0.1)
     with pytest.raises(ValueError):
-        truncated_quantile(dist, 1.5)
+        dist.quantile(1.5)
     # NaN lies in no interval: rejected by both solvers, scalar or array
     folded = FoldedGaussian(0.5, ModelParams(10.0).sigma2)
     for bad in (math.nan, np.array([0.2, math.nan]), np.array([0.2, 1.5])):
         with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
-            truncated_quantile(dist, bad)
+            dist.quantile(bad)
         with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
             folded.quantile(bad)
 

@@ -62,9 +62,9 @@ _CHUNKED = {
 }
 
 _EXPECTED = {
-    "couple_y_w": "08dd4074cff2d0d6968b1a5b7102c6ca14d423e93365e1b6666ae7c9dcab63b8",
-    "couple_y_yprime": "9112956bdf241819f28aae20c4974a94051497254f25645a1826a081375d204e",
-    "couple_z_yprime": "8b8cab35665aa8f00c4c82bb5bbebd61ef5666a9e0661063019397dfc5adcf62",
+    "couple_y_w": "61d7c09c4b6d48504355a802d3a550f70026f9f54935ede12757448942ebd457",
+    "couple_y_yprime": "bf8a8e204308c179a02326b9a098068c257cce4b78c8018691c836219aebd90f",
+    "couple_z_yprime": "097ac4e0017e663d0cd5b5d9096be526f2d82c7f5db776df0be2ad10ed10173a",
     "run_w": "175ecb05f4b338b4456ac324dba6c244c0e7ee992758b7ada47394600fd92413",
     "run_w_ensemble": "f6b014a2432a362b7236d6d25b44c58677b7e63c775cd2d079eee3ad71a34f39",
     "run_x": "f1f380da62fa6ca184c9555c02a1b9aad8639201c88378f53075ba55c7406cce",
