@@ -71,6 +71,22 @@ def test_run_x_untouched_coordinate_copies():
             assert states[t + 1][0] == states[t][0]
 
 
+def test_step_x_truncated_moment():
+    # frozen oracle: scipy.stats.truncnorm mean/std for center 0.9,
+    # support [0,1], a = 50; one U step of the X engine from (0.9, 0.9)
+    params = ModelParams(50.0)
+    n = 10_000
+    state = {key: np.full(n, value) for key, value in chains._planar_start((0.9, 0.9)).items()}
+    coins = np.zeros(n, dtype=np.int64)
+    chains._x_process(params, chains._x_coins).step(
+        state, (coins, np.random.default_rng(8).random(n)), 0
+    )
+    assert np.all(state["v"] == 0.9)
+    draws = state["u"]
+    ref_mean, ref_std = 0.8999999999999216, 0.014142135623453926
+    assert abs(draws.mean() - ref_mean) <= 3.0 * ref_std / math.sqrt(n)
+
+
 def test_direction_coin_fairness():
     # pooled over 10^6 coin flips; 3 binomial standard errors
     ens = run_x_ensemble((0.5, 0.5), 1000, ModelParams(10.0), seed=5, trajectories=1000)

@@ -177,13 +177,6 @@ def test_truncated_quantile_matches_truncnorm():
             p, (lo - center) / sigma, (hi - center) / sigma, loc=center, scale=sigma
         )
         assert dist.quantile(p) == pytest.approx(ref, abs=5e-10)
-    # frozen truncnorm mean and std for center 0.9, support [0, 1], a = 50:
-    # the mean of 10^4 draws lies within 3 standard errors
-    dist = conditional_on_unit_interval(0.9, ModelParams(50.0))
-    n = 10_000
-    draws = dist.quantile(np.random.default_rng(8).random(n))
-    ref_mean, ref_std = 0.8999999999999216, 0.014142135623453926
-    assert abs(draws.mean() - ref_mean) <= 3.0 * ref_std / math.sqrt(n)
 
 
 def test_truncated_quantile_cdf_round_trip_sweep():
