@@ -22,11 +22,23 @@ gives
 
 which depends on p only through r and c.  The state is therefore the pair
 (r, c), with r' = (r + J y) / 2 and c' = (c + J x) / 2, and the TV distance
-of p' to the target is 1/2 sum_ij J_ij |(x_i + y_j) / 2 - 1|.  Evolution
-costs one n x n by n x 2 product plus that TV sum per step, and the n x n
-law is formed only when a caller asks for it.  Every step renormalizes: it
-divides (r, c) by their mass, sum(r + c) / 2, before the step, which is the
-same as dividing the law after it, so roundoff never accumulates in the mass.
+of p' to the target is 1/2 sum_ij J_ij |(x_i + y_j) / 2 - 1|.  Every step
+renormalizes: it divides (r, c) by their mass, sum(r + c) / 2, before the
+step, which is the same as dividing the law after it, so roundoff never
+accumulates in the mass.
+
+J is Toeplitz bit for bit, J_{i, i+d} = J_{|d|, 0}, so the product [J x  J y]
+is a convolution with J's first column.  Embedded in the circulant of length
+2 n whose first column is (J_00, ..., J_{n-1,0}, 0, J_{n-1,0}, ..., J_10),
+whose top-left n x n block is J, it is one rfft / irfft pair of length 2 n
+against that column's transform, computed once per call (G. Strang,
+Stud. Appl. Math. 74, 1986).  A step then costs O(n log n) and reads no
+n x n array; J is built once per call for the marginal, the TV weights and
+the returned law.  The product stays within 1e-15 of each column's largest
+entry of BLAS's J @ [x y] (n <= 500).  The exact product is nonnegative,
+since J and [x y] are, but that roundoff leaves entries far from the start
+slightly below 0, so the step clamps it at 0: a negative marginal would make
+a negative cell weight.
 
 The mixing search sums that TV only over the band |i - j| <= K of cells that
 carry mass.  Every point pair in a cell at offset k lies at least (k - 1) / n
@@ -37,8 +49,8 @@ about 1e-13 of the peak, and is left in J on purpose: the target, the step,
 the kernel and d/dbar read J as it is, and their outputs stay bit for bit
 those of the full matrix.
 
-J is Toeplitz bit for bit, J_{i, i+d} = J_{|d|, 0}, so the sum runs along
-J's diagonals: with g = x / 2 - 1 and h = y / 2 it is
+The band sum runs along J's diagonals too: with g = x / 2 - 1 and h = y / 2
+it is
 1/2 sum_d J_{|d|, 0} sum_i |g_i + h_{i+d}|.  Row d of the layout is the
 window of a zero-padded copy of h that starts at offset d, so it is
 contiguous, and a weight block built once per search holds J_{|d|, 0}
@@ -243,16 +255,37 @@ def _tv_band(a: float, n: int) -> int:
     return min(n - 1, math.ceil(TV_BAND_Z * n / a) + 1)
 
 
-def _step(joint: np.ndarray, marginal: np.ndarray, rc: np.ndarray) -> np.ndarray:
+def _circulant_kernel(joint: np.ndarray) -> np.ndarray:
+    """The rfft of J's first column embedded in a circulant of length 2 n,
+    ``(J_00, ..., J_{n-1,0}, 0, J_{n-1,0}, ..., J_10)`` (module docstring)."""
+    n = len(joint)
+    column = np.zeros(2 * n)
+    column[:n] = joint[:, 0]
+    column[n + 1 :] = joint[:0:-1, 0]
+    return np.fft.rfft(column)
+
+
+def _joint_product(kernel: np.ndarray, xy: np.ndarray) -> np.ndarray:
+    """``J @ xy`` for a nonnegative n x 2 ``xy``, as an rfft / irfft pair of
+    length 2 n against ``kernel = _circulant_kernel(J)``, clamped at 0 where
+    roundoff leaves it negative."""
+    n = len(xy)
+    spectrum = np.fft.rfft(xy, 2 * n, axis=0)
+    spectrum *= kernel[:, np.newaxis]
+    prod = np.fft.irfft(spectrum, 2 * n, axis=0)[:n]
+    return np.maximum(prod, 0.0, out=prod)
+
+
+def _step(kernel: np.ndarray, marginal: np.ndarray, rc: np.ndarray) -> np.ndarray:
     """Renormalize the marginals ``rc = [r c]`` and advance them one step, in
-    place.
+    place, by the circulant product with ``kernel = _circulant_kernel(J)``.
 
     Returns the ratios ``[x y]`` the step was taken from; the law after the
     step is ``J_ij (x_i + y_j) / 2``.
     """
     rc /= 0.5 * rc.sum()
     xy = rc / marginal[:, np.newaxis]
-    rc += (joint @ xy)[:, ::-1]
+    rc += _joint_product(kernel, xy)[:, ::-1]
     rc *= 0.5
     return xy
 
@@ -307,9 +340,10 @@ def evolve_2d(dist: GridDistribution, steps: int, params: ModelParams) -> GridDi
     if steps == 0:
         return GridDistribution(n=dist.n, weights=dist.weights.copy())
     marginal = joint.sum(axis=0)
+    kernel = _circulant_kernel(joint)
     rc = np.stack([dist.weights.sum(axis=1), dist.weights.sum(axis=0)], axis=1)
     for _ in range(steps):
-        xy = _step(joint, marginal, rc)
+        xy = _step(kernel, marginal, rc)
     return GridDistribution(n=dist.n, weights=joint * (0.5 * (xy[:, :1] + xy[:, 1])))
 
 
@@ -342,6 +376,7 @@ def find_mixing_time(
         raise GridError(f"max_steps must be >= 0, got {max_steps}")
     joint = _normalized_joint(params, n)
     marginal = joint.sum(axis=0)
+    kernel = _circulant_kernel(joint)
     tv_to_target = _band_tv(joint, _tv_band(params.a, n))
     i, j = _start_cell(start[0], start[1], n)
     rc = np.zeros((n, 2))
@@ -355,7 +390,7 @@ def find_mixing_time(
                 f"(a={params.a}, n={n})",
                 np.array(curve),
             )
-        curve.append(tv_to_target(_step(joint, marginal, rc)))
+        curve.append(tv_to_target(_step(kernel, marginal, rc)))
     return MixingResult(params.a, n, epsilon, tuple(start), len(curve) - 1, np.array(curve))
 
 

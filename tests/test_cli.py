@@ -84,10 +84,10 @@ _DIGEST_RUNS = {
 _DIGESTS = {
     "constants": "95f2c5e06dadeb43f6be67b6f49cd471dabcc4d1516d6ad1e31e534a0d5dd4b9",
     "dbar": "62d91b99633d25fa8b7daa8bc89ea89f86f9a8d16c757d5a94b662e9cb204479",
-    "evolve": "82490847c261bd0b31ccac2c8f2fb51e90af0447844a7307ae474804f6753d18",
+    "evolve": "784c2db10ea9362e4e4e707b8afaa8b2786c9718b0c4e3fc18dda6727ee6e648",
     "heatmap_target": "c162fc163de4b39e087adb522630c057a71424b85cb59be14a0c7206f5ce9890",
-    "mix": "5284e97d9b2090339a0c49acb5ccb78d1f22335b7fefd9e0ef67335482f8daaa",
-    "mix_not_converged": "94d56ff01d9f93d33c244b6e2b5f28f6ec49a8f5100164075da0586d67a8cded",
+    "mix": "6bad8b967038cd6125b7ac483b2451ab7dc8357c19e02211ffb04b63415c3ed9",
+    "mix_not_converged": "a9e4239da435ddc82f7cbddee0785dbfd88620adbe4a1938e8330ece1b68c169",
     "sim_w": "f1b3e5d7bfa8c775810d11d3c7526951e6e928daf631b7e5d6722fc37e042859",
     "sim_w_ensemble": "7dfb7c91677dce1731aa7d3e97cb38cc0d204f9e4ebd33013afee7be87b1ef36",
     "sim_x": "6a59af5355510570ce2f3d46ea264a051edb4dd86cbdd2717c66d5a495db6562",

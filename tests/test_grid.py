@@ -358,6 +358,7 @@ def test_tv_band_matches_dense_oracle(a):
     n = 500
     joint = build_discretized_target(ModelParams(a), n).weights
     marginal = joint.sum(axis=0)
+    kernel = grid._circulant_kernel(joint)
     tv_to_target = grid._band_tv(joint, grid._tv_band(a, n))
     for start in [(0.0, 0.0), (0.0, 0.3)]:
         i, j = grid._start_cell(*start, n)
@@ -365,9 +366,52 @@ def test_tv_band_matches_dense_oracle(a):
         rc[i, 0] = rc[j, 1] = 1.0
         worst = 0.0
         for _ in range(2000):
-            xy = grid._step(joint, marginal, rc)
+            xy = grid._step(kernel, marginal, rc)
             worst = max(worst, abs(tv_to_target(xy) - _dense_tv_to_target(joint, xy)))
         assert worst <= 1e-11, start
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 80, 500])
+@pytest.mark.parametrize("a", [0.5, 10.0, 250.0])
+def test_circulant_product_matches_dense(a, n):
+    # the step's FFT product is J @ xy within roundoff of each column's peak,
+    # for a spread-out xy and for the corner point mass's xy
+    joint = grid._normalized_joint(ModelParams(a), n)
+    kernel = grid._circulant_kernel(joint)
+    corner = np.zeros((n, 2))
+    corner[0] = 1.0 / joint.sum(axis=0)[0]
+    for xy in (np.random.default_rng(n).random((n, 2)), corner):
+        dense = joint @ xy
+        got = grid._joint_product(kernel, xy)
+        assert np.all(np.abs(got - dense) <= 1e-13 * dense.max(axis=0))
+
+
+def test_evolution_weights_never_negative():
+    # unclamped, FFT roundoff left 24182 cells below 0 after two steps here,
+    # and GridDistribution rejected the law
+    out = evolve_2d(point_mass(0.0, 0.0, 500), 2, ModelParams(50.0))
+    assert np.all(out.weights >= 0.0)
+
+
+class _NoProduct(np.ndarray):
+    """An array that refuses to be multiplied as a matrix."""
+
+    def __matmul__(self, other):
+        raise AssertionError("multiplied by the n x n J")
+
+    __rmatmul__ = __matmul__
+
+
+def test_steps_never_multiply_by_joint(monkeypatch):
+    # the search and the evolution step by the circulant product alone
+    joint_of = grid._normalized_joint
+    monkeypatch.setattr(
+        grid, "_normalized_joint", lambda params, n: joint_of(params, n).view(_NoProduct)
+    )
+    with pytest.raises(MixingNotConverged):
+        find_mixing_time((0.0, 0.0), 0.25, ModelParams(50.0), 500, 20)
+    out = evolve_2d(point_mass(0.0, 0.0, 500), 20, ModelParams(50.0))
+    assert abs(out.weights.sum() - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3, 7, 80, 500])
@@ -445,10 +489,12 @@ def test_tv_sum_reads_only_the_band(monkeypatch):
 
 _CURVE_HASHES = """
 import hashlib
-from diagonal_gibbs import ModelParams, find_mixing_time
+from diagonal_gibbs import ModelParams, evolve_2d, find_mixing_time, point_mass
 for a in (10.0, 50.0):
     curve = find_mixing_time((0.0, 0.0), 0.25, ModelParams(a), 500, 5000).tv_curve
     print(a, hashlib.sha256(curve.tobytes()).hexdigest())
+weights = evolve_2d(point_mass(0.0, 0.0, 500), 200, ModelParams(50.0)).weights
+print("evolve", hashlib.sha256(weights.tobytes()).hexdigest())
 """
 
 
