@@ -33,8 +33,11 @@ is a convolution with J's first column.  Embedded in the circulant of length
 whose top-left n x n block is J, it is one rfft / irfft pair of length 2 n
 against that column's transform, computed once per call (G. Strang,
 Stud. Appl. Math. 74, 1986).  A step then costs O(n log n) and reads no
-n x n array; J is built once per call for the marginal, the TV weights and
-the returned law.  The product stays within 1e-15 of each column's largest
+n x n array.  J is held as that column: its total follows in closed form,
+its marginal from sums of the column, and the TV weights are its entries,
+so the mixing search builds no n x n array.  Only the outputs that are n x n build
+J from the column: the target, the law evolve_2d returns and the 1-D
+kernel.  The product stays within 1e-15 of each column's largest
 entry of BLAS's J @ [x y] (n <= 500).  The exact product is nonnegative,
 since J and [x y] are, but that roundoff leaves entries far from the start
 slightly below 0, so the step clamps it at 0: a negative marginal would make
@@ -184,33 +187,46 @@ def _cell_masses(a: float, n: int) -> np.ndarray:
     return np.maximum(m, 0.0)
 
 
-def _normalized_joint(params: ModelParams, n: int) -> np.ndarray:
-    """The discrete joint J, normalized to sum 1.
+def _joint_column(params: ModelParams, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """J's first column and its marginal, without building J.
 
-    The one source of J for the target, the 1-D kernel and the evolution.
-    J is symmetric, so its row and column marginals agree.
+    J_ij is the cell mass m_|i-j| over the masses' total on the grid,
+    n m_0 + 2 sum_k (n - k) m_k.  Row i of J sums to the column's first
+    i + 1 entries plus its first n - i, less the J_00 both count.  Those
+    prefix sums are the column's total less its sums from the small end,
+    which stay within a few ulps of the exact row sums; a cumsum from J_00
+    drifted to 1.1e-14 at n = 1001, a = 50.  J is symmetric, so its row and
+    column marginals agree.
     """
     if n < 2:
         raise GridError(f"grid needs at least 2 cells per axis, got {n}")
     m = _cell_masses(params.a, n)
-    # J_ij = m[|i - j|]: row i is the window of (m_{n-1}, ..., m_1, m_0, m_1,
-    # ..., m_{n-1}) that starts at n - 1 - i; copying the windows needs no
-    # n x n index array, so building J peaks at J's own size
-    joint = sliding_window_view(np.concatenate((m[:0:-1], m)), n)[::-1].copy()
-    joint /= joint.sum()
-    return joint
+    column = m / (n * m[0] + 2.0 * math.fsum((n - np.arange(1, n)) * m[1:]))
+    tail = np.cumsum(column[::-1])[::-1]
+    head = tail[0] - np.append(tail[1:], 0.0)
+    return column, head + head[::-1] - column[0]
+
+
+def _joint(column: np.ndarray) -> np.ndarray:
+    """The n x n J from its first column, for the outputs that are n x n.
+
+    Row i is the window of (J_{n-1,0}, ..., J_10, J_00, J_10, ...,
+    J_{n-1,0}) that starts at n - 1 - i; copying the windows needs no n x n
+    index array, so building J peaks at J's own size.
+    """
+    windows = sliding_window_view(np.concatenate((column[:0:-1], column)), len(column))
+    return windows[::-1].copy()
 
 
 def build_discretized_target(params: ModelParams, n: int) -> GridDistribution:
     """Cell-integral discretization of the diagonal-band target, normalized."""
-    return GridDistribution(n=n, weights=_normalized_joint(params, n))
+    return GridDistribution(n=n, weights=_joint(_joint_column(params, n)[0]))
 
 
 def build_kernel_1d(params: ModelParams, n: int) -> GibbsKernel1D:
     """One-coordinate Gibbs kernel: row j = conditional of cell i given j."""
-    joint = _normalized_joint(params, n)
-    marginal = joint.sum(axis=0)
-    matrix = (joint / marginal[np.newaxis, :]).T
+    column, marginal = _joint_column(params, n)
+    matrix = (_joint(column) / marginal[np.newaxis, :]).T
     return GibbsKernel1D(matrix=matrix, marginal=marginal)
 
 
@@ -255,20 +271,16 @@ def _tv_band(a: float, n: int) -> int:
     return min(n - 1, math.ceil(TV_BAND_Z * n / a) + 1)
 
 
-def _circulant_kernel(joint: np.ndarray) -> np.ndarray:
+def _circulant_kernel(column: np.ndarray) -> np.ndarray:
     """The rfft of J's first column embedded in a circulant of length 2 n,
     ``(J_00, ..., J_{n-1,0}, 0, J_{n-1,0}, ..., J_10)`` (module docstring)."""
-    n = len(joint)
-    column = np.zeros(2 * n)
-    column[:n] = joint[:, 0]
-    column[n + 1 :] = joint[:0:-1, 0]
-    return np.fft.rfft(column)
+    return np.fft.rfft(np.concatenate((column, [0.0], column[:0:-1])))
 
 
 def _joint_product(kernel: np.ndarray, xy: np.ndarray) -> np.ndarray:
     """``J @ xy`` for a nonnegative n x 2 ``xy``, as an rfft / irfft pair of
-    length 2 n against ``kernel = _circulant_kernel(J)``, clamped at 0 where
-    roundoff leaves it negative."""
+    length 2 n against ``kernel = _circulant_kernel(column)``, clamped at 0
+    where roundoff leaves it negative."""
     n = len(xy)
     spectrum = np.fft.rfft(xy, 2 * n, axis=0)
     spectrum *= kernel[:, np.newaxis]
@@ -278,7 +290,8 @@ def _joint_product(kernel: np.ndarray, xy: np.ndarray) -> np.ndarray:
 
 def _step(kernel: np.ndarray, marginal: np.ndarray, rc: np.ndarray) -> np.ndarray:
     """Renormalize the marginals ``rc = [r c]`` and advance them one step, in
-    place, by the circulant product with ``kernel = _circulant_kernel(J)``.
+    place, by the circulant product with
+    ``kernel = _circulant_kernel(column)``.
 
     Returns the ratios ``[x y]`` the step was taken from; the law after the
     step is ``J_ij (x_i + y_j) / 2``.
@@ -290,7 +303,7 @@ def _step(kernel: np.ndarray, marginal: np.ndarray, rc: np.ndarray) -> np.ndarra
     return xy
 
 
-def _band_tv(joint: np.ndarray, band: int):
+def _band_tv(column: np.ndarray, band: int):
     """The TV between ``J_ij (x_i + y_j) / 2`` and J over the cells with
     |i - j| <= ``band``, as a function of the ratios ``xy = [x y]``.
 
@@ -299,7 +312,7 @@ def _band_tv(joint: np.ndarray, band: int):
     in one thread: a BLAS dot splits long blocks across its threads, and the
     split moves the last bits.
     """
-    n = len(joint)
+    n = len(column)
     h = np.zeros(n + 2 * band)
     g = np.empty(n)
     offsets = np.arange(-band, band + 1)
@@ -315,7 +328,7 @@ def _band_tv(joint: np.ndarray, band: int):
         # later n x n step in the same process by 0.4 MB at n = 500
         cells = np.arange(c0, c1)
         inside = (cells >= -block[:, np.newaxis]) & (cells < n - block[:, np.newaxis])
-        weights = joint[np.abs(block), :1] * inside
+        weights = column[np.abs(block), np.newaxis] * inside
         windows = sliding_window_view(h, c1 - c0)[band + c0 + lo : band + c0 + hi + 1]
         gap = buffer[: weights.size].reshape(weights.shape)
         blocks.append((windows, g[c0:c1], gap, weights))
@@ -336,15 +349,16 @@ def evolve_2d(dist: GridDistribution, steps: int, params: ModelParams) -> GridDi
     """Apply ``steps`` random-scan operator steps to a grid distribution."""
     if steps < 0:
         raise GridError("steps must be >= 0")
-    joint = _normalized_joint(params, dist.n)
+    column, marginal = _joint_column(params, dist.n)
     if steps == 0:
         return GridDistribution(n=dist.n, weights=dist.weights.copy())
-    marginal = joint.sum(axis=0)
-    kernel = _circulant_kernel(joint)
+    kernel = _circulant_kernel(column)
     rc = np.stack([dist.weights.sum(axis=1), dist.weights.sum(axis=0)], axis=1)
     for _ in range(steps):
         xy = _step(kernel, marginal, rc)
-    return GridDistribution(n=dist.n, weights=joint * (0.5 * (xy[:, :1] + xy[:, 1])))
+    law = _joint(column)
+    law *= 0.5 * (xy[:, :1] + xy[:, 1])
+    return GridDistribution(n=dist.n, weights=law)
 
 
 def tv_distance(p: GridDistribution, q: GridDistribution) -> float:
@@ -374,15 +388,14 @@ def find_mixing_time(
         raise GridError(f"epsilon must lie in (0, 1), got {epsilon}")
     if max_steps < 0:
         raise GridError(f"max_steps must be >= 0, got {max_steps}")
-    joint = _normalized_joint(params, n)
-    marginal = joint.sum(axis=0)
-    kernel = _circulant_kernel(joint)
-    tv_to_target = _band_tv(joint, _tv_band(params.a, n))
+    column, marginal = _joint_column(params, n)
+    kernel = _circulant_kernel(column)
+    tv_to_target = _band_tv(column, _tv_band(params.a, n))
     i, j = _start_cell(start[0], start[1], n)
     rc = np.zeros((n, 2))
     rc[i, 0] = rc[j, 1] = 1.0
     # TV(delta_ij, J) = (1 - J_ij) off the cell plus (1 - J_ij) on it, halved
-    curve = [1.0 - joint[i, j]]
+    curve = [1.0 - column[abs(i - j)]]
     while curve[-1] > epsilon:
         if len(curve) > max_steps:
             raise MixingNotConverged(

@@ -83,11 +83,11 @@ _DIGEST_RUNS = {
 # sha256 of exit code, stdout and every file written, per run
 _DIGESTS = {
     "constants": "95f2c5e06dadeb43f6be67b6f49cd471dabcc4d1516d6ad1e31e534a0d5dd4b9",
-    "dbar": "62d91b99633d25fa8b7daa8bc89ea89f86f9a8d16c757d5a94b662e9cb204479",
-    "evolve": "784c2db10ea9362e4e4e707b8afaa8b2786c9718b0c4e3fc18dda6727ee6e648",
+    "dbar": "895700026f87d135f3138b0f641601ed2df5bbca7495ca34e5786561b6f99a1a",
+    "evolve": "b521c9430e9956625af4d7b2ac8598e51f4bf0edf16e5e421278435b41249109",
     "heatmap_target": "c162fc163de4b39e087adb522630c057a71424b85cb59be14a0c7206f5ce9890",
-    "mix": "6bad8b967038cd6125b7ac483b2451ab7dc8357c19e02211ffb04b63415c3ed9",
-    "mix_not_converged": "a9e4239da435ddc82f7cbddee0785dbfd88620adbe4a1938e8330ece1b68c169",
+    "mix": "f8b1b4d502823932000cef6a1de6979e506ecd22b0aafbd07cdd3d8fea62f1c8",
+    "mix_not_converged": "eaec1ae8d499262a84848f556b0aa8788b2ce94adc4e2fb1f43a48c0c0f2ed21",
     "sim_w": "f1b3e5d7bfa8c775810d11d3c7526951e6e928daf631b7e5d6722fc37e042859",
     "sim_w_ensemble": "7dfb7c91677dce1731aa7d3e97cb38cc0d204f9e4ebd33013afee7be87b1ef36",
     "sim_x": "6a59af5355510570ce2f3d46ea264a051edb4dd86cbdd2717c66d5a495db6562",
@@ -99,8 +99,8 @@ _DIGESTS = {
     "sim_yprime_ensemble": "018734483450a99ee58bdd1e3095360b7f5139e1793745528599b87fff0740d1",
     "sim_z": "0894356501f4498cb3124a7304dfe9868f50cd8b8be001364318142b6165f7d0",
     "sim_z_ensemble": "9b1099dec2c27e7fb96a800844212833108dde24a3b27d9115c9d148e04c819a",
-    "verify": "5fc52bdbb5018e40465cc393c2e0ac379319290a7a0f43e6cbdc5cd2e8a8bc5b",
-    "verify_fails": "4cef6ae494e612c533272ad0ff480f133e734923accb5902f25697f3dc888ffa",
+    "verify": "2eebef1a41006ba9cec1e2fc1023ba1784b0436e021a0cbaf9af869c3aba2a01",
+    "verify_fails": "ea0e87e7a95514924a90ea36fe9bb98c6b68e5fe9f25cb5d8b63a532130da3b0",
 }
 
 

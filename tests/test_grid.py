@@ -110,27 +110,38 @@ def test_target_requires_valid_n():
         build_discretized_target(ModelParams(10.0), 1)
 
 
-def _joint_by_index(params, n):
-    # the reference: gather the cell masses through the n x n array |i - j|
-    m = grid._cell_masses(params.a, n)
-    joint = m[np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])]
-    joint /= joint.sum()
-    return joint
+def _joint_by_index(column):
+    # the reference: gather J's first column through the n x n array |i - j|
+    n = len(column)
+    return column[np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])]
 
 
 @pytest.mark.parametrize("a", [0.5, 10.0, 50.0, 250.0])
 @pytest.mark.parametrize("n", [2, 3, 7, 80, 500, 1001])
 def test_joint_bit_equal_to_index_construction(a, n):
-    joint = grid._normalized_joint(ModelParams(a), n)
+    column = grid._joint_column(ModelParams(a), n)[0]
+    joint = grid._joint(column)
     assert joint.flags.c_contiguous
-    assert joint.tobytes() == _joint_by_index(ModelParams(a), n).tobytes()
+    assert joint.tobytes() == _joint_by_index(column).tobytes()
+
+
+@pytest.mark.parametrize("a", [0.5, 10.0, 50.0, 250.0])
+@pytest.mark.parametrize("n", [2, 3, 7, 80, 500, 1001])
+def test_joint_column_marginal_and_total(a, n):
+    # the column's marginal and closed-form total agree with exact sums over
+    # the n x n J it stands for
+    column, marginal = grid._joint_column(ModelParams(a), n)
+    rows = grid._joint(column).tolist()
+    row_sums = np.array([math.fsum(row) for row in rows])
+    assert np.all(np.abs(marginal - row_sums) <= 1e-14 * row_sums)
+    assert abs(math.fsum(value for row in rows for value in row) - 1.0) <= 1e-15
 
 
 def test_joint_peak_memory_is_about_its_own_size():
     n = 1000
     tracemalloc.start()
     try:
-        joint = grid._normalized_joint(ModelParams(10.0), n)
+        joint = grid._joint(grid._joint_column(ModelParams(10.0), n)[0])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -357,9 +368,9 @@ def test_tv_band_matches_dense_oracle(a):
     # a layout that reads x where it should read y
     n = 500
     joint = build_discretized_target(ModelParams(a), n).weights
-    marginal = joint.sum(axis=0)
-    kernel = grid._circulant_kernel(joint)
-    tv_to_target = grid._band_tv(joint, grid._tv_band(a, n))
+    column, marginal = grid._joint_column(ModelParams(a), n)
+    kernel = grid._circulant_kernel(column)
+    tv_to_target = grid._band_tv(column, grid._tv_band(a, n))
     for start in [(0.0, 0.0), (0.0, 0.3)]:
         i, j = grid._start_cell(*start, n)
         rc = np.zeros((n, 2))
@@ -376,10 +387,11 @@ def test_tv_band_matches_dense_oracle(a):
 def test_circulant_product_matches_dense(a, n):
     # the step's FFT product is J @ xy within roundoff of each column's peak,
     # for a spread-out xy and for the corner point mass's xy
-    joint = grid._normalized_joint(ModelParams(a), n)
-    kernel = grid._circulant_kernel(joint)
+    column, marginal = grid._joint_column(ModelParams(a), n)
+    joint = grid._joint(column)
+    kernel = grid._circulant_kernel(column)
     corner = np.zeros((n, 2))
-    corner[0] = 1.0 / joint.sum(axis=0)[0]
+    corner[0] = 1.0 / marginal[0]
     for xy in (np.random.default_rng(n).random((n, 2)), corner):
         dense = joint @ xy
         got = grid._joint_product(kernel, xy)
@@ -403,22 +415,42 @@ class _NoProduct(np.ndarray):
 
 
 def test_steps_never_multiply_by_joint(monkeypatch):
-    # the search and the evolution step by the circulant product alone
-    joint_of = grid._normalized_joint
-    monkeypatch.setattr(
-        grid, "_normalized_joint", lambda params, n: joint_of(params, n).view(_NoProduct)
-    )
+    # the search and the evolution step by the circulant product alone; the
+    # search never builds J, and the evolution builds it once, for its law
+    joint_of = grid._joint
+    built = []
+
+    def joint(column):
+        built.append(len(column))
+        return joint_of(column).view(_NoProduct)
+
+    monkeypatch.setattr(grid, "_joint", joint)
     with pytest.raises(MixingNotConverged):
         find_mixing_time((0.0, 0.0), 0.25, ModelParams(50.0), 500, 20)
+    assert built == []
     out = evolve_2d(point_mass(0.0, 0.0, 500), 20, ModelParams(50.0))
+    assert built == [500]
     assert abs(out.weights.sum() - 1.0) < 1e-12
+
+
+def test_search_peak_memory_is_far_below_joint():
+    # the search holds J as its column: at n = 4000, J alone would take 128 MB
+    n = 4000
+    tracemalloc.start()
+    try:
+        with pytest.raises(MixingNotConverged):
+            find_mixing_time((0.0, 0.0), 0.25, ModelParams(250.0), n, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * 8 * n * n
 
 
 @pytest.mark.parametrize("n", [2, 3, 7, 80, 500])
 @pytest.mark.parametrize("a", [0.5, 10.0, 50.0, 250.0])
 def test_joint_is_toeplitz_bit_for_bit(a, n):
     # the band sum weights every cell of a diagonal by J's one value there
-    joint = grid._normalized_joint(ModelParams(a), n)
+    joint = build_discretized_target(ModelParams(a), n).weights
     for d in range(-(n - 1), n):
         assert np.all(np.diagonal(joint, d) == joint[abs(d), 0])
 
