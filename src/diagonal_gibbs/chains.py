@@ -94,7 +94,8 @@ def _check_count(name: str, value: int, least: int) -> None:
 
 
 def _run_chunked(worker, steps: int, trajectories: int, threads: int = 1):
-    """Run ``worker(chunk_index, width)`` over all chunks, in index order.
+    """Run ``worker(chunk_index, width)`` over all chunks, in index order,
+    on at most ``threads`` threads and never more than there are chunks.
 
     Rejects counts no ensemble can run: ``trajectories < 1``,
     ``threads < 1`` or ``steps < 0``.
@@ -104,7 +105,7 @@ def _run_chunked(worker, steps: int, trajectories: int, threads: int = 1):
     _check_count("steps", steps, 0)
     jobs = list(_chunk_ranges(trajectories))
     if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
             futures = [pool.submit(worker, ci, width) for ci, _, width in jobs]
             return [f.result() for f in futures]
     return [worker(ci, width) for ci, _, width in jobs]

@@ -22,6 +22,13 @@ ensemble runner with the summary of its result (or None without an ensemble
 mode), the number and upper end of its --start coordinates, and whether it
 draws truncated to [0, 1]; ``--process``, --start parsing, the ensemble
 check, the --a check and the ``sim`` handler read it.
+
+Two things are worked out rather than set.  ``sim`` and ``verify`` run their
+ensembles on ``THREADS`` threads, one per CPU the process may run on; since
+the draws depend only on (seed, trajectory index), no output depends on it,
+and ``taskset`` limits it.  ``dbar --n`` and ``verify --n-pairs`` take any
+grid of at least 2 cells: the pair scan costs about n^3, like the kernel
+powers (``grid``'s module docstring gives measured times).
 """
 
 from __future__ import annotations
@@ -54,7 +61,6 @@ from .coupling import DOMINANCE_TOL, couple_z_yprime, verify_dominance_inequalit
 from .density import DegenerateTruncationError, ModelParams, TruncatedGaussian
 from .grid import (
     CORNER_BOXES,
-    DBAR_MAX_N,
     MixingNotConverged,
     build_discretized_target,
     evolve_2d,
@@ -73,6 +79,9 @@ OUT_DIR_ENV = "DIAGONAL_GIBBS_OUT"
 # absolute slack of the d/dbar sandwich and of submultiplicativity: where
 # dbar is at its roundoff floor (about 5e-16), dbar(s) dbar(t) is far below it
 DISTANCE_TOL = 1e-12
+
+# ensemble threads: one per CPU the process may run on (module docstring)
+THREADS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _quantiles(values) -> dict:
@@ -139,16 +148,14 @@ def _processes(keep, sep: str = "/") -> str:
 _PROCESS_NAMES = ", ".join(sorted(_PROCESSES))
 
 
-def _count_in(least: int, most: float = math.inf):
-    """argparse type for an integer count in [least, most]."""
+def _count_in(least: int):
+    """argparse type for an integer count of at least ``least``."""
 
     # argparse reports a non-integer as "invalid integer value", by this name
     def integer(text: str) -> int:
         value = int(text)
         if value < least:
             raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
-        if value > most:
-            raise argparse.ArgumentTypeError(f"must be <= {most}, got {value}")
         return value
 
     return integer
@@ -157,7 +164,6 @@ def _count_in(least: int, most: float = math.inf):
 _NONNEGATIVE = _count_in(0)
 _POSITIVE = _count_in(1)
 _AT_LEAST_2 = _count_in(2)
-_PAIR_GRID = _count_in(2, DBAR_MAX_N)
 
 
 def _open_unit(text: str) -> float:
@@ -318,7 +324,7 @@ def _cmd_sim(conf: dict, params: ModelParams, start) -> dict:
 
     _progress(f"simulating {trajectories} {process} trajectories x {steps} steps")
     run, summary = _PROCESSES[process].ensemble
-    ens = run(start, steps, params, seed, trajectories, conf["threads"])
+    ens = run(start, steps, params, seed, trajectories, THREADS)
     return {"process": process, "a": params.a, "delta": params.delta, "steps": steps,
             "seed": seed, "trajectories": trajectories, **summary(ens)}
 
@@ -392,7 +398,7 @@ def _cmd_verify(conf: dict, params: ModelParams, _start) -> dict:
         params,
         conf["seed"],
         trajectories=conf["trajectories"],
-        threads=conf["threads"],
+        threads=THREADS,
     )
     checks["coupling_ordering_violations"] = {
         "value": report.ordering_violations,
@@ -452,7 +458,6 @@ _COMMANDS = {
         ("steps", _NONNEGATIVE, 1000, None),
         ("seed", _NONNEGATIVE, 0, None),
         ("trajectories", _POSITIVE, 1, None),
-        ("threads", _POSITIVE, 1, None),
         ("start", str, None, _START_HELP),
     )),
     "evolve": (_cmd_evolve, (
@@ -472,11 +477,10 @@ _COMMANDS = {
     "verify": (_cmd_verify, (
         _A,
         ("n", _AT_LEAST_2, 500, "grid for the stationarity check"),
-        ("n_pairs", _PAIR_GRID, 100, "grid for d/dbar checks"),
+        ("n_pairs", _AT_LEAST_2, 100, "grid for d/dbar checks"),
         ("seed", _NONNEGATIVE, 0, None),
         ("trajectories", _POSITIVE, 2000, "coupled trajectories for the ordering check"),
         ("steps", _NONNEGATIVE, 400, "steps per coupled trajectory"),
-        ("threads", _POSITIVE, 1, None),
         ("grid", _AT_LEAST_2, 200, "points per axis in the dominance sweep"),
     )),
     "constants": (_cmd_constants, (
@@ -491,7 +495,7 @@ _COMMANDS = {
     )),
     "dbar": (_cmd_dbar, (
         _A,
-        ("n", _PAIR_GRID, 100, None),
+        ("n", _AT_LEAST_2, 100, None),
         ("s", _NONNEGATIVE, 50, None),
         ("t", _NONNEGATIVE, 50, None),
     )),

@@ -69,7 +69,7 @@ _DIGEST_RUNS = {
     "sim_yprime_ensemble": ["sim", "--process", "yprime", "--trajectories", "30",
                             "--steps", "25", "--start", "0.4", "--seed", "6"],
     "sim_z_ensemble": ["sim", "--process", "z", "--trajectories", "25", "--steps", "20",
-                       "--start", "1.5", "--threads", "2"],
+                       "--start", "1.5"],
     "evolve": ["evolve", "--a", "10", "--n", "32", "--steps", "5", "--pgm", "state.pgm"],
     "mix": ["mix", "--a", "10", "--n", "40"],
     "mix_not_converged": ["mix", "--a", "50", "--n", "40", "--max-steps", "5"],
@@ -88,19 +88,19 @@ _DIGESTS = {
     "heatmap_target": "c162fc163de4b39e087adb522630c057a71424b85cb59be14a0c7206f5ce9890",
     "mix": "f8b1b4d502823932000cef6a1de6979e506ecd22b0aafbd07cdd3d8fea62f1c8",
     "mix_not_converged": "eaec1ae8d499262a84848f556b0aa8788b2ce94adc4e2fb1f43a48c0c0f2ed21",
-    "sim_w": "f1b3e5d7bfa8c775810d11d3c7526951e6e928daf631b7e5d6722fc37e042859",
-    "sim_w_ensemble": "7dfb7c91677dce1731aa7d3e97cb38cc0d204f9e4ebd33013afee7be87b1ef36",
-    "sim_x": "6a59af5355510570ce2f3d46ea264a051edb4dd86cbdd2717c66d5a495db6562",
-    "sim_x_ensemble": "dd96933f0a758b5d38bc379999a01f4b7003df54b96b553257d3a97ec32f3336",
-    "sim_xstar": "0e6fbce3d0f284bb906d003d6d6258ef6d5fbad71d7fe65933892c9ca546ce03",
-    "sim_y": "a772a6278c5a8d910e09394b9f45639771a8f87c3444d9f0cc130f7ac3f33f5a",
-    "sim_y_ensemble": "59e289a66dde6a2ef71b0a5f290ecb2abe1e1758580a315baa81eefe20871948",
-    "sim_yprime": "f4e8cb3fe176a2822a998abc5ef22a4a5873621458d6ce70b01d76b6ae1966b3",
-    "sim_yprime_ensemble": "018734483450a99ee58bdd1e3095360b7f5139e1793745528599b87fff0740d1",
-    "sim_z": "0894356501f4498cb3124a7304dfe9868f50cd8b8be001364318142b6165f7d0",
-    "sim_z_ensemble": "9b1099dec2c27e7fb96a800844212833108dde24a3b27d9115c9d148e04c819a",
-    "verify": "2eebef1a41006ba9cec1e2fc1023ba1784b0436e021a0cbaf9af869c3aba2a01",
-    "verify_fails": "ea0e87e7a95514924a90ea36fe9bb98c6b68e5fe9f25cb5d8b63a532130da3b0",
+    "sim_w": "b58d31be6fced6b43efae12a2d9eced597c8d9899e674b5d7ff66a541d9c4e36",
+    "sim_w_ensemble": "a29894f97d18577517901eb3e96f7c423fb9b87b0e19622619ee709044f4ebc3",
+    "sim_x": "6d104254c0e71d6cd53ccdcfe5860793135f364b181e950836de196287b6c504",
+    "sim_x_ensemble": "dd3e0f07dd52827756450bb2eeb1eb34da5a19aeaeaa9c611705323f6509013d",
+    "sim_xstar": "d87c800a333af21bfefefe1f538095b7c17e6326edffc1d97abdc2dce9c071ad",
+    "sim_y": "9232ff0d91ed0fdcc6112bd91c66da8fac00a80c9f70266d1eeaf57a344a241c",
+    "sim_y_ensemble": "088161fb80530374432038ead5c4115f4f244082ba2d94fd02d777b88368b0fe",
+    "sim_yprime": "876f6f018ee9ce1aa01fe3cea960c0bfd575641b2e6e7ce1f3fc17eb6bb8bf87",
+    "sim_yprime_ensemble": "1a6845cd71c8525db8d720ad117ef17cb3617fe73e4e0c2e4cfc0606c8587a93",
+    "sim_z": "f770c39ef53b2d1d5d208e295e808cb0e5e9c28a29b3867663bc094b7e5aa453",
+    "sim_z_ensemble": "0e4be4b516d26bd9837e1b669f8732c827904a821b376df7ed0290ac7672cf5d",
+    "verify": "fc00a9fb32feb4f536d4d6f8f24b60e349a04b5aeee9ad4f370ff8b03cacfa59",
+    "verify_fails": "c9fb22fc596f1a9a1878afeabc6421d9c438bf8422002acbdcda01e3d8a11856",
 }
 
 
@@ -295,6 +295,19 @@ def test_sim_ensemble_rejects_xstar(tmp_path, capsys):
     assert not (out_dir / "manifest.json").exists()
 
 
+def test_sim_ensemble_output_independent_of_threads(tmp_path, capsys, monkeypatch):
+    # three chunks, run on one thread and on two; the count is in no manifest
+    results = []
+    for threads in (1, 2):
+        monkeypatch.setattr(cli, "THREADS", threads)
+        out_dir = tmp_path / str(threads)
+        argv = ["sim", "--process", "x", "--trajectories", "40000", "--steps", "3"]
+        assert run_cli(argv + ["--out-dir", str(out_dir)], capsys)[0] == 0
+        assert "threads" not in read_json(out_dir / "manifest.json")["config"]
+        results.append((out_dir / "result.json").read_bytes())
+    assert results[0] == results[1]
+
+
 # ----------------------------------------------------------------------
 # evolve / heatmap
 # ----------------------------------------------------------------------
@@ -467,11 +480,11 @@ def test_manifest_config_replays(tmp_path, capsys, monkeypatch, argv, side_files
 # resolved configuration of a default run, recorded before the flag table
 _DEFAULT_CONFIGS = {
     "sim": {"a": 10.0, "delta": 0.05, "process": "x", "seed": 0, "start": None,
-            "steps": 1000, "threads": 1, "trajectories": 1},
+            "steps": 1000, "trajectories": 1},
     "evolve": {"a": 10.0, "n": 500, "pgm": None, "start": "0,0", "steps": 100},
     "mix": {"a": 10.0, "eps": 0.25, "max_steps": 1000000, "n": 500, "start": "0,0"},
     "verify": {"a": 10.0, "grid": 200, "n": 500, "n_pairs": 100,
-               "seed": 0, "steps": 400, "threads": 1, "trajectories": 2000},
+               "seed": 0, "steps": 400, "trajectories": 2000},
     "constants": {"alpha": 0.1, "delta": 0.0, "eps_slack": 0.0},
     "heatmap": {"a": 10.0, "n": 500, "out": "target.pgm"},
     "dbar": {"a": 10.0, "n": 100, "s": 50, "t": 50},
@@ -514,7 +527,6 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         ["sim", "--seed", "-1"],
         ["sim", "--trajectories", "3", "--steps", "-2"],
         ["sim", "--trajectories", "0"],
-        ["sim", "--threads", "0"],
         ["sim", "--steps", "ten"],
         ["mix", "--n", "1"],
         ["mix", "--max-steps", "-1"],
@@ -557,8 +569,6 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         ["constants", "--eps-slack", "inf"],
         ["mix", "--eps", "0"],
         ["mix", "--eps", "1.5"],
-        ["dbar", "--n", "300"],
-        ["verify", "--n-pairs", "300"],
         ["sim", "--config", str(tmp_path / "missing.json")],
         # an output name with a directory part, which would leave --out-dir
         ["heatmap", "--out", str(tmp_path / "x.pgm")],

@@ -405,6 +405,34 @@ def test_evolution_weights_never_negative():
     assert np.all(out.weights >= 0.0)
 
 
+@pytest.mark.parametrize("a, n, t, cell", [
+    (10.0, 200, 20, (0, 0)),
+    (10.0, 200, 71, (0, 0)),
+    (50.0, 300, 400, (0, 0)),
+    (10.0, 150, 30, (20, 90)),
+])
+def test_random_scan_is_binomial_mixture_of_alternating_scans(a, n, t, cell):
+    # the grid module docstring's mixture: R - 1 ~ Bin(t - 1, 1/2) runs of
+    # alternating updates, averaged over which coordinate moves first; it
+    # shares only J's column with the (r, c) stepping of evolve_2d
+    column, marginal = grid._joint_column(ModelParams(a), n)
+    kernel = grid._circulant_kernel(column)
+    i0, j0 = cell
+    q = np.zeros((n, 2))  # q_l started from v's cell (u moves first), from u's
+    q[j0, 0] = q[i0, 1] = 1.0
+    by_i, by_j = np.zeros(n), np.zeros(n)  # the mixture is J_ij (by_i_i + by_j_j)
+    for k in range(t):
+        w = math.comb(t - 1, k) / 2 ** (t - 1) / 2
+        ratios = q / marginal[:, np.newaxis]
+        odd = k % 2 == 0  # R = k + 1
+        by_j += w * ratios[:, 0 if odd else 1]
+        by_i += w * ratios[:, 1 if odd else 0]
+        q = grid._joint_product(kernel, ratios)
+    mixture = grid._joint(column) * (by_i[:, np.newaxis] + by_j)
+    evolved = evolve_2d(point_mass((i0 + 0.5) / n, (j0 + 0.5) / n, n), t, ModelParams(a))
+    assert 0.5 * np.abs(mixture - evolved.weights).sum() <= 1e-13
+
+
 class _NoProduct(np.ndarray):
     """An array that refuses to be multiplied as a matrix."""
 
@@ -597,9 +625,25 @@ def test_dbar_submultiplicative_small():
     assert dbar_st <= dbar_s * dbar_t * (1.0 + 1e-9)
 
 
-def test_dbar_rejects_large_grids():
-    with pytest.raises(GridError):
-        worst_case_distance_dbar(1, 1, ModelParams(10.0), 500)
+def test_dbar_runs_past_200_cells_with_one_power_at_s_equal_t(monkeypatch):
+    # no cap on n; at s = t the one power K^t is scanned once, K^t K^t once
+    params, n, t = ModelParams(10.0), 256, 10
+    d_t = worst_case_distance_d(t, params, n)
+    calls = {"matrix_power": 0, "scan": 0}
+    matrix_power, scan = np.linalg.matrix_power, grid._max_pairwise_tv
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "matrix_power", counted("matrix_power", matrix_power))
+    monkeypatch.setattr(grid, "_max_pairwise_tv", counted("scan", scan))
+    dbar_s, dbar_t, _ = worst_case_distance_dbar(t, t, params, n)
+    assert calls == {"matrix_power": 1, "scan": 2}
+    assert dbar_s == dbar_t
+    assert d_t <= dbar_t <= 2.0 * d_t
 
 
 def _power_by_steps(matrix, t):
