@@ -69,8 +69,7 @@ from .grid import (
     point_mass,
     set_probability,
     tv_distance,
-    worst_case_distance_d,
-    worst_case_distance_dbar,
+    worst_case_distances,
 )
 from .version import __version__
 
@@ -366,19 +365,19 @@ def _cmd_mix(conf: dict, params: ModelParams, start) -> dict:
 
 def _distance_checks(s: int, t: int, params: ModelParams, n: int) -> dict:
     """d and dbar at s and t, the sandwich d <= dbar <= 2 d at both, and the
-    submultiplicativity dbar(s + t) <= dbar(s) dbar(t)."""
-    dbar_s, dbar_t, dbar_st = worst_case_distance_dbar(s, t, params, n)
-    d = {u: worst_case_distance_d(u, params, n) for u in {s, t}}
+    submultiplicativity dbar(s + t) <= dbar(s) dbar(t), from one power per
+    distinct time."""
+    d_s, d_t, dbar_s, dbar_t, dbar_st = worst_case_distances(s, t, params, n)
     return {
-        "d_s": d[s],
-        "d_t": d[t],
+        "d_s": d_s,
+        "d_t": d_t,
         "dbar_s": dbar_s,
         "dbar_t": dbar_t,
         "dbar_s_plus_t": dbar_st,
         "submultiplicative": bool(dbar_st <= dbar_s * dbar_t * (1.0 + 1e-9) + DISTANCE_TOL),
         "sandwich_ok": all(
-            d[u] <= dbar_u + DISTANCE_TOL and dbar_u <= 2.0 * d[u] + DISTANCE_TOL
-            for u, dbar_u in ((s, dbar_s), (t, dbar_t))
+            d_u <= dbar_u + DISTANCE_TOL and dbar_u <= 2.0 * d_u + DISTANCE_TOL
+            for d_u, dbar_u in ((d_s, dbar_s), (d_t, dbar_t))
         ),
     }
 

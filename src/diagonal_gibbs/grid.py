@@ -27,6 +27,17 @@ renormalizes: it divides (r, c) by their mass, sum(r + c) / 2, before the
 step, which is the same as dividing the law after it, so roundoff never
 accumulates in the mass.
 
+When r and c are equal bit for bit the state is one column.  From a start
+on the diagonal they are, at t = 0 and at every step after, so ``_merge``
+keeps r alone there; the law J_ij (x_i + x_j) / 2 is symmetric, the step
+transforms one column instead of two, and the TV sum below folds onto half
+the band.  A state whose r and c differ in any bit keeps both columns for
+the whole run, so off the diagonal the curve is the two-column one bit for
+bit.  The one-column state renormalizes by sum(r), which need not be the
+two-column state's sum(r + c) / 2 to the last bit: from the corner the
+curve moves by at most 7e-14 (n = 500, a = 10, 50 and 250) and t_mix not
+at all.
+
 J is Toeplitz bit for bit, J_{i, i+d} = J_{|d|, 0}, so the product [J x  J y]
 is a convolution with J's first column.  Embedded in the circulant of length
 2 n whose first column is (J_00, ..., J_{n-1,0}, 0, J_{n-1,0}, ..., J_10),
@@ -57,18 +68,24 @@ it is
 1/2 sum_d J_{|d|, 0} sum_i |g_i + h_{i+d}|.  Row d of the layout is the
 window of a zero-padded copy of h that starts at offset d, so it is
 contiguous, and a weight block built once per search holds J_{|d|, 0}
-wherever 0 <= i + d < n and 0 past J's edge.  The band sum moves the TV
-curve by at most 4e-12 from the sum over every cell at n = 500 (a = 10, 50
-and 250, from the corner and off the diagonal), far inside the crossing
-margins of t_mix (3e-5 at a = 50, 5e-8 at a = 250).
+wherever 0 <= i + d < n and 0 past J's edge.  On the one-column state
+h = x / 2 and cells (i, i + k) and (i + k, i) carry the same term, so the
+layout folds onto the offsets 0..K, each k >= 1 weighted 2 J_{k, 0}: about
+(K + 1) n cells a point instead of (2 K + 1) n.  At a = 50, n = 500 a
+one-column step took 31-42 us of FFT and 55-62 us of band sum, against 45
+and 108-115 us with two columns (one thread, 2-vCPU VM).  The band sum,
+folded or not, moves the TV curve by at most 4e-12 from the sum over every
+cell at n = 500 (a = 10, 50 and 250, from the corner and off the diagonal,
+2000 steps), far inside the crossing margins of t_mix (3e-5 at a = 50,
+5e-8 at a = 250).
 
 The worst-case distances d and dbar act on the 1-D kernel K alone and take
 its powers K^t by repeated squaring (``np.linalg.matrix_power``).  dbar
 scans every pair of rows of a power, n^2 / 2 row differences of n entries,
 so the scan is cubic in n like the power and runs at any n: one scan of
 K^50 took 0.16 s at n = 500 and 1.3 s at n = 1000, and ``verify``'s
-d/dbar checks at s = t = 50 took 3.3 s at a = 250, n = 1000 (2-vCPU VM,
-numpy 2.4.6 with OpenBLAS).
+d/dbar checks at s = t = 50, which share one K^50 (``worst_case_distances``),
+took 2.0-2.7 s at a = 250, n = 1000 (2-vCPU VM, numpy 2.4.6 with OpenBLAS).
 
 The random-scan law is a binomial mixture of alternating-scan laws.  An
 update is idempotent: redrawing u twice given the same v is one redraw.
@@ -304,23 +321,34 @@ def _joint_product(kernel: np.ndarray, xy: np.ndarray) -> np.ndarray:
 
 
 def _step(kernel: np.ndarray, marginal: np.ndarray, rc: np.ndarray) -> np.ndarray:
-    """Renormalize the marginals ``rc = [r c]`` and advance them one step, in
-    place, by the circulant product with
+    """Renormalize the marginals ``rc = [r c]``, or ``[r]`` when r = c, and
+    advance them one step, in place, by the circulant product with
     ``kernel = _circulant_kernel(column)``.
 
-    Returns the ratios ``[x y]`` the step was taken from; the law after the
-    step is ``J_ij (x_i + y_j) / 2``.
+    Returns the ratios ``[x y]`` (``[x]``) the step was taken from; the law
+    after the step is ``J_ij (x_i + y_j) / 2`` (``J_ij (x_i + x_j) / 2``).
     """
-    rc /= 0.5 * rc.sum()
+    rc /= rc.sum() / rc.shape[1]
     xy = rc / marginal[:, np.newaxis]
     rc += _joint_product(kernel, xy)[:, ::-1]
     rc *= 0.5
     return xy
 
 
-def _band_tv(column: np.ndarray, band: int):
+def _merge(rc: np.ndarray) -> np.ndarray:
+    """The state ``rc = [r c]`` as the one column ``[r]`` when r and c are
+    equal bit for bit, else ``rc`` itself.  Both step to the same law but
+    for roundoff in the mass (module docstring)."""
+    if np.array_equal(rc[:, 0], rc[:, 1]):
+        return rc[:, :1].copy()
+    return rc
+
+
+def _band_tv(column: np.ndarray, band: int, symmetric: bool):
     """The TV between ``J_ij (x_i + y_j) / 2`` and J over the cells with
-    |i - j| <= ``band``, as a function of the ratios ``xy = [x y]``.
+    |i - j| <= ``band``, as a function of the ratios ``xy = [x y]``; when
+    ``symmetric``, of ``xy = [x]`` with y = x, summed over the offsets
+    0..``band`` with each offset k >= 1 weighted 2 J_k.
 
     Lays out the band along J's diagonals once (module docstring); each call
     then writes g and h into the layout and reduces each block by ``einsum``
@@ -330,7 +358,7 @@ def _band_tv(column: np.ndarray, band: int):
     n = len(column)
     h = np.zeros(n + 2 * band)
     g = np.empty(n)
-    offsets = np.arange(-band, band + 1)
+    offsets = np.arange(0 if symmetric else -band, band + 1)
     # array_split puts the longest blocks first, and none is wider than n
     splits = np.array_split(offsets, -(-offsets.size // min(_TV_OFFSETS, n)))
     buffer = np.empty(splits[0].size * n)
@@ -344,12 +372,14 @@ def _band_tv(column: np.ndarray, band: int):
         cells = np.arange(c0, c1)
         inside = (cells >= -block[:, np.newaxis]) & (cells < n - block[:, np.newaxis])
         weights = column[np.abs(block), np.newaxis] * inside
+        if symmetric:
+            weights[block > 0] *= 2.0  # cells (i, i + k) and (i + k, i) alike
         windows = sliding_window_view(h, c1 - c0)[band + c0 + lo : band + c0 + hi + 1]
         gap = buffer[: weights.size].reshape(weights.shape)
         blocks.append((windows, g[c0:c1], gap, weights))
 
     def tv(xy: np.ndarray) -> float:
-        h[band : band + n] = 0.5 * xy[:, 1]
+        h[band : band + n] = 0.5 * xy[:, -1]
         g[:] = 0.5 * xy[:, 0] - 1.0
         total = 0.0
         for windows, g_cols, gap, weights in blocks:
@@ -368,11 +398,11 @@ def evolve_2d(dist: GridDistribution, steps: int, params: ModelParams) -> GridDi
     if steps == 0:
         return GridDistribution(n=dist.n, weights=dist.weights.copy())
     kernel = _circulant_kernel(column)
-    rc = np.stack([dist.weights.sum(axis=1), dist.weights.sum(axis=0)], axis=1)
+    rc = _merge(np.stack([dist.weights.sum(axis=1), dist.weights.sum(axis=0)], axis=1))
     for _ in range(steps):
         xy = _step(kernel, marginal, rc)
     law = _joint(column)
-    law *= 0.5 * (xy[:, :1] + xy[:, 1])
+    law *= 0.5 * (xy[:, :1] + xy[:, -1])
     return GridDistribution(n=dist.n, weights=law)
 
 
@@ -405,10 +435,11 @@ def find_mixing_time(
         raise GridError(f"max_steps must be >= 0, got {max_steps}")
     column, marginal = _joint_column(params, n)
     kernel = _circulant_kernel(column)
-    tv_to_target = _band_tv(column, _tv_band(params.a, n))
     i, j = _start_cell(start[0], start[1], n)
     rc = np.zeros((n, 2))
     rc[i, 0] = rc[j, 1] = 1.0
+    rc = _merge(rc)
+    tv_to_target = _band_tv(column, _tv_band(params.a, n), rc.shape[1] == 1)
     # TV(delta_ij, J) = (1 - J_ij) off the cell plus (1 - J_ij) on it, halved
     curve = [1.0 - column[abs(i - j)]]
     while curve[-1] > epsilon:
@@ -439,12 +470,28 @@ def _max_pairwise_tv(power: np.ndarray) -> float:
     return worst
 
 
+def _kernel_powers(
+    params: ModelParams, n: int, times: tuple[int, ...]
+) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """The 1-D kernel's marginal and its power K^u for each distinct u in
+    ``times``, from one kernel and one ``matrix_power`` per distinct u."""
+    if min(times) < 0:
+        raise GridError(f"times must be >= 0, got {times}")
+    kernel = build_kernel_1d(params, n)
+    return kernel.marginal, {u: np.linalg.matrix_power(kernel.matrix, u) for u in set(times)}
+
+
 def worst_case_distance_d(t: int, params: ModelParams, n: int) -> float:
     """max over starting cells of TV(t-step law, stationary marginal)."""
-    if t < 0:
-        raise GridError("t must be >= 0")
-    kernel = build_kernel_1d(params, n)
-    return _max_tv_to_marginal(np.linalg.matrix_power(kernel.matrix, t), kernel.marginal)
+    marginal, powers = _kernel_powers(params, n, (t,))
+    return _max_tv_to_marginal(powers[t], marginal)
+
+
+def _dbar_scans(powers: dict[int, np.ndarray], s: int, t: int) -> tuple[float, float, float]:
+    """(dbar(s), dbar(t), dbar(s + t)) from ``_kernel_powers``' powers, each
+    distinct power scanned once and dbar(s + t) from K^s K^t."""
+    dbar = {u: _max_pairwise_tv(power) for u, power in powers.items()}
+    return dbar[s], dbar[t], _max_pairwise_tv(powers[s] @ powers[t])
 
 
 def worst_case_distance_dbar(
@@ -457,12 +504,18 @@ def worst_case_distance_dbar(
     one power and two scans.  Any n runs: the scan, like the power, is
     cubic in n (module docstring).
     """
-    if s < 0 or t < 0:
-        raise GridError("s and t must be >= 0")
-    matrix = build_kernel_1d(params, n).matrix
-    powers = {u: np.linalg.matrix_power(matrix, u) for u in {s, t}}
-    dbar = {u: _max_pairwise_tv(power) for u, power in powers.items()}
-    return dbar[s], dbar[t], _max_pairwise_tv(powers[s] @ powers[t])
+    return _dbar_scans(_kernel_powers(params, n, (s, t))[1], s, t)
+
+
+def worst_case_distances(
+    s: int, t: int, params: ModelParams, n: int
+) -> tuple[float, float, float, float, float]:
+    """(d(s), d(t), dbar(s), dbar(t), dbar(s + t)) from one kernel and one
+    power per distinct time, so s = t takes K^t once; each value is bit for
+    bit that of ``worst_case_distance_d`` or ``worst_case_distance_dbar``."""
+    marginal, powers = _kernel_powers(params, n, (s, t))
+    d = {u: _max_tv_to_marginal(power, marginal) for u, power in powers.items()}
+    return (d[s], d[t], *_dbar_scans(powers, s, t))
 
 
 # ======================================================================

@@ -22,10 +22,12 @@ import warnings
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
-from diagonal_gibbs import cli
+from diagonal_gibbs import ModelParams, cli
 from diagonal_gibbs.cli import OUT_DIR_ENV, build_parser, main, resolve_config
+from diagonal_gibbs.grid import worst_case_distances
 from diagonal_gibbs.version import __version__
 
 
@@ -44,9 +46,11 @@ def read_json(path):
 # output digests
 # ----------------------------------------------------------------------
 
-def _failing_dbar(s, t, params, n):
-    # dbar(s + t) = 0.3 > dbar(s) dbar(t) = 0.25: submultiplicativity fails
-    return 0.5, 0.5, 0.3
+def _failing_distances(s, t, params, n):
+    # the true d, and dbar(s + t) = 0.3 > dbar(s) dbar(t) = 0.25:
+    # submultiplicativity fails
+    d_s, d_t, *_ = worst_case_distances(s, t, params, n)
+    return d_s, d_t, 0.5, 0.5, 0.3
 
 
 _SMALL_VERIFY = ["verify", "--a", "10", "--n", "40", "--n-pairs", "20",
@@ -74,7 +78,7 @@ _DIGEST_RUNS = {
     "mix": ["mix", "--a", "10", "--n", "40"],
     "mix_not_converged": ["mix", "--a", "50", "--n", "40", "--max-steps", "5"],
     "verify": _SMALL_VERIFY,
-    "verify_fails": _SMALL_VERIFY,  # run with _failing_dbar
+    "verify_fails": _SMALL_VERIFY,  # run with _failing_distances
     "constants": ["constants", "--alpha", "0.2", "--delta", "0.05"],
     "heatmap_target": ["heatmap", "--a", "10", "--n", "24", "--out", "t.pgm"],
     "dbar": ["dbar", "--a", "10", "--n", "20", "--s", "5", "--t", "7"],
@@ -86,8 +90,8 @@ _DIGESTS = {
     "dbar": "895700026f87d135f3138b0f641601ed2df5bbca7495ca34e5786561b6f99a1a",
     "evolve": "b521c9430e9956625af4d7b2ac8598e51f4bf0edf16e5e421278435b41249109",
     "heatmap_target": "c162fc163de4b39e087adb522630c057a71424b85cb59be14a0c7206f5ce9890",
-    "mix": "f8b1b4d502823932000cef6a1de6979e506ecd22b0aafbd07cdd3d8fea62f1c8",
-    "mix_not_converged": "eaec1ae8d499262a84848f556b0aa8788b2ce94adc4e2fb1f43a48c0c0f2ed21",
+    "mix": "98fe384aae4c40f617c7f17f05b70d97680759ce61d2238e5715be4fa63835d3",
+    "mix_not_converged": "8b10e37c0b2112f38fa19f77a701f6e78faa5f3ea786a1f6179f3ab09d6c6f89",
     "sim_w": "b58d31be6fced6b43efae12a2d9eced597c8d9899e674b5d7ff66a541d9c4e36",
     "sim_w_ensemble": "a29894f97d18577517901eb3e96f7c423fb9b87b0e19622619ee709044f4ebc3",
     "sim_x": "6d104254c0e71d6cd53ccdcfe5860793135f364b181e950836de196287b6c504",
@@ -107,7 +111,7 @@ _DIGESTS = {
 def _output_digest(name: str) -> str:
     """Run one table entry in the working directory and hash what it left."""
     patch = (
-        mock.patch.object(cli, "worst_case_distance_dbar", _failing_dbar)
+        mock.patch.object(cli, "worst_case_distances", _failing_distances)
         if name == "verify_fails" else contextlib.nullcontext()
     )
     out, err = io.StringIO(), io.StringIO()
@@ -397,7 +401,7 @@ def test_verify_passes_at_the_roundoff_floor(tmp_path, capsys, a):
 
 
 def test_verify_failure_exits_1(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "worst_case_distance_dbar", _failing_dbar)
+    monkeypatch.setattr(cli, "worst_case_distances", _failing_distances)
     argv = _DIGEST_RUNS["verify_fails"] + ["--out-dir", str(tmp_path)]
     code, out, _ = run_cli(argv, capsys)
     assert code == 1
@@ -405,6 +409,21 @@ def test_verify_failure_exits_1(tmp_path, capsys, monkeypatch):
     assert payload["passed"] is False
     assert payload["checks"]["submultiplicative"]["passed"] is False
     assert read_json(tmp_path / "result.json") == payload
+
+
+def test_distance_checks_take_each_power_once(monkeypatch):
+    # verify's d and dbar at s = t = 50 share one kernel and one K^50
+    powers = []
+    matrix_power = np.linalg.matrix_power
+
+    def counted(matrix, u):
+        powers.append(u)
+        return matrix_power(matrix, u)
+
+    monkeypatch.setattr(np.linalg, "matrix_power", counted)
+    checks = cli._distance_checks(50, 50, ModelParams(10.0), 20)
+    assert powers == [50]
+    assert checks["sandwich_ok"] and checks["submultiplicative"]
 
 
 def test_verify_suite_passes_at_small_sizes(tmp_path, capsys):

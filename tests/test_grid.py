@@ -349,11 +349,11 @@ def test_mixing_times_exact_at_n500():
 
 
 def _dense_tv_to_target(joint, xy):
-    """Reference TV over every cell, in 64-row blocks.  einsum reduces on
-    one thread, where a BLAS dot's threads spin for cores another process
-    holds."""
+    """Reference TV over every cell, in 64-row blocks, for ratios [x y] or,
+    when r = c, [x].  einsum reduces on one thread, where a BLAS dot's
+    threads spin for cores another process holds."""
     x = 0.5 * xy[:, 0] - 1.0
-    y = 0.5 * xy[:, 1]
+    y = 0.5 * xy[:, -1]
     total = 0.0
     for lo in range(0, len(x), 64):
         gap = np.abs(np.add.outer(x[lo : lo + 64], y))
@@ -363,23 +363,53 @@ def _dense_tv_to_target(joint, xy):
 
 @pytest.mark.parametrize("a", [10.0, 50.0, 250.0])
 def test_tv_band_matches_dense_oracle(a):
-    # the search's band sum tracks the sum over every cell along 2000 steps;
-    # the corner start keeps x = y, so only the start off the diagonal shows
-    # a layout that reads x where it should read y
+    # the search's band sum tracks the sum over every cell along 2000 steps:
+    # the corner start has r = c and runs on the folded one-column band, the
+    # start off the diagonal keeps both columns throughout, and only its
+    # layout could read x where it should read y
     n = 500
     joint = build_discretized_target(ModelParams(a), n).weights
     column, marginal = grid._joint_column(ModelParams(a), n)
     kernel = grid._circulant_kernel(column)
-    tv_to_target = grid._band_tv(column, grid._tv_band(a, n))
+    band = grid._tv_band(a, n)
     for start in [(0.0, 0.0), (0.0, 0.3)]:
         i, j = grid._start_cell(*start, n)
         rc = np.zeros((n, 2))
         rc[i, 0] = rc[j, 1] = 1.0
+        rc = grid._merge(rc)
+        assert rc.shape[1] == (1 if i == j else 2), start
+        tv_to_target = grid._band_tv(column, band, rc.shape[1] == 1)
         worst = 0.0
         for _ in range(2000):
             xy = grid._step(kernel, marginal, rc)
             worst = max(worst, abs(tv_to_target(xy) - _dense_tv_to_target(joint, xy)))
         assert worst <= 1e-11, start
+
+
+def test_merge_needs_equal_bits():
+    # one ulp apart, r and c stay two columns; equal, they become one
+    rc = np.full((5, 2), 0.2)
+    assert grid._merge(rc).shape == (5, 1)
+    rc[3, 1] = np.nextafter(0.2, 1.0)
+    assert grid._merge(rc) is rc
+
+
+@pytest.mark.parametrize("a, t_mix, s_to_t", [(50.0, 1852, 0), (10.0, 71, 1)])
+def test_corner_mixing_time_is_twice_the_alternating_steps(a, t_mix, s_to_t):
+    # ROADMAP direction 8's factor 2: from the corner the search's t_mix is
+    # 2 s (+ 1), s the first l with 1/2 |q_l - m|_1 <= 1/4, q_0 = e_0 and
+    # q_l = J (q_(l-1) / m); the oracle shares only J's column with the search
+    n = 500
+    column, marginal = grid._joint_column(ModelParams(a), n)
+    kernel = grid._circulant_kernel(column)
+    q = np.zeros((n, 1))
+    q[0] = 1.0
+    s = 0
+    while 0.5 * np.abs(q[:, 0] - marginal).sum() > 0.25:
+        q = grid._joint_product(kernel, q / marginal[:, np.newaxis])
+        s += 1
+    assert 2 * s + s_to_t == t_mix
+    assert find_mixing_time((0.0, 0.0), 0.25, ModelParams(a), n, 5000).t_mix == t_mix
 
 
 @pytest.mark.parametrize("n", [2, 3, 7, 80, 500])
@@ -534,25 +564,40 @@ class _CountingNumpy:
 
 
 def test_tv_sum_reads_only_the_band(monkeypatch):
-    # each curve point reduces at most (2 K + 1) n elements, one per cell
-    # and offset, not n^2, and none of them through BLAS; a = 10 cuts blocks
-    # at J's edge, a = 250 has a single block
+    # each curve point reduces at most one element per cell and offset, not
+    # n^2, and none of them through BLAS: (K + 1) n from the corner, whose
+    # one-column state runs on the folded band, and (2 K + 1) n off the
+    # diagonal; a = 10 cuts blocks at J's edge, a = 250 has a single block.
+    # From the corner each step transforms one column.
     n, steps = 500, 20
+    rfft = np.fft.rfft
+    shapes = []
+
+    def counted_rfft(x, *args, **kwargs):
+        shapes.append(np.shape(x))
+        return rfft(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counted_rfft)
     for a in (10.0, 250.0):
-        counting = _CountingNumpy()
-        monkeypatch.setattr(grid, "np", counting)
-        with pytest.raises(MixingNotConverged):
-            find_mixing_time((0.0, 0.0), 0.25, ModelParams(a), n, steps)
-        assert 0 < counting.seen <= steps * (2 * grid._tv_band(a, n) + 1) * n
-        assert counting.blas_calls == 0
+        band = grid._tv_band(a, n)
+        for start, offsets in (((0.0, 0.0), band + 1), ((0.0, 0.3), 2 * band + 1)):
+            counting = _CountingNumpy()
+            monkeypatch.setattr(grid, "np", counting)
+            shapes.clear()
+            with pytest.raises(MixingNotConverged):
+                find_mixing_time(start, 0.25, ModelParams(a), n, steps)
+            assert 0 < counting.seen <= steps * offsets * n, start
+            assert counting.blas_calls == 0
+            if start == (0.0, 0.0):  # J's column once, then one column a step
+                assert shapes == [(2 * n,)] + [(n, 1)] * steps
 
 
 _CURVE_HASHES = """
 import hashlib
 from diagonal_gibbs import ModelParams, evolve_2d, find_mixing_time, point_mass
-for a in (10.0, 50.0):
-    curve = find_mixing_time((0.0, 0.0), 0.25, ModelParams(a), 500, 5000).tv_curve
-    print(a, hashlib.sha256(curve.tobytes()).hexdigest())
+for a, start in ((10.0, (0.0, 0.0)), (50.0, (0.0, 0.0)), (50.0, (0.0, 0.3))):
+    curve = find_mixing_time(start, 0.25, ModelParams(a), 500, 5000).tv_curve
+    print(a, start, hashlib.sha256(curve.tobytes()).hexdigest())
 weights = evolve_2d(point_mass(0.0, 0.0, 500), 200, ModelParams(50.0)).weights
 print("evolve", hashlib.sha256(weights.tobytes()).hexdigest())
 """
